@@ -66,6 +66,12 @@ echo "== sim smoke, adaptive depth (seeds 3..5) =="
 PYTHONPATH=src python -m repro.simtest --runs 3 --start-seed 3 --steps 25 \
     --pipeline --adaptive || status=1
 
+# Combined fault-mode smoke: the adaptive pipelined engine under power
+# failures and live resharding at once, through every invariant.
+echo "== sim smoke, combined fault modes (seeds 3..5) =="
+PYTHONPATH=src python -m repro.simtest --runs 3 --start-seed 3 --steps 25 \
+    --pipeline --adaptive --power-fail --migrate || status=1
+
 # Pipelined-engine benchmark smoke: a reduced depth sweep that still
 # exercises grouped dispatch, coalescing, and the result-identity check.
 echo "== bench pipeline smoke =="

@@ -1,13 +1,26 @@
 """Client-side routing across a sharded ResultStore cluster.
 
-A :class:`ClusterRouter` presents the exact call surface of
-:class:`~repro.net.rpc.RpcClient` — ``call``, ``call_batch``,
-``send_oneway``, ``send_oneway_batch``, ``drain_responses``,
-``records_sent`` — so a :class:`~repro.core.runtime.DedupRuntime` links
-against it unchanged.  Behind that surface every request is routed by
-the tag's position on the :class:`~repro.cluster.ring.ShardRing`:
+A :class:`ClusterRouter` presents the call surface of
+:class:`~repro.net.rpc.RpcClient`, so a
+:class:`~repro.core.runtime.DedupRuntime` links against it unchanged.
+Every request is routed by its tag's position on the
+:class:`~repro.cluster.ring.ShardRing`.
 
-* **GET** goes to the tag's owners in ring order.  A timed-out owner is
+One core serves every request whose reply is waited on:
+**plan -> submit -> wait** over per-shard groups.
+
+* ``plan_gets`` / ``plan_puts`` partition requests by primary shard.
+* ``submit_gets`` ships a GET group as one record to its primary;
+  ``submit_puts`` ships one record to every owner shard of the group's
+  items (primary and replicas).
+* ``wait_gets`` / ``wait_puts`` settle a group into per-item answers.
+
+The other methods are compositions of it: ``call_batch`` submits and
+settles each GET group (a PUT batch is one group), ``submit``/``wait``
+of one request is a one-item group, and ``call`` of a PUT is the same.
+``call`` of a GET is the per-item step every GET path falls back to:
+
+* **GET** goes to the tag's owners in ring order.  A failed owner is
   skipped (failover); a live owner's *miss* falls through to the next
   replica; the first hit wins.  Live owners that missed before the hit
   receive an asynchronous **read-repair** PUT rebuilt from the hit, so
@@ -17,24 +30,25 @@ the tag's position on the :class:`~repro.cluster.ring.ShardRing`:
   caught by the runtime's Fig. 3 MAC/tag verification exactly as a
   tampered single store would be.
 * **PUT** is written to the primary and its ``replication_factor - 1``
-  distinct successors.  The primary's verdict is authoritative; replica
-  verdicts are absorbed into router counters.
-* **Batches** are split per shard, routed, and rejoined in the original
-  item order.  A sub-batch whose shard times out degrades to per-item
-  routing through the surviving replicas; items with no live owner at
-  all come back as per-item failures (``found=False`` /
-  ``accepted=False`` with a ``no live owner`` reason) without
-  disturbing their batch-mates' correlation.
+  distinct successors.  The first owner in ring order that answers is
+  authoritative; the other verdicts are absorbed into router counters.
+  Items no owner answered come back ``accepted=False`` with a ``no live
+  owner`` reason (``call``/``wait`` raise ``NoLiveOwnerError``).
 
-One-way correlation: the router speaks to N per-shard clients, each
-with its own request-id space, so it assigns its own router-level ids
-and remaps shard acks onto them when draining.  For a replicated
-one-way PUT the first ack to arrive is forwarded to the runtime (the
-rest are absorbed), which keeps the runtime's strict PUT accounting
-(accepted/rejected/failed/unacknowledged) intact: a fully-dead owner
-set shows up as *unacknowledged*, never as a silent success.
+Fire-and-forget PUTs have one path, ``send_oneway_batch`` (``send_oneway``
+is a batch of one).  The router speaks to N per-shard clients, each with
+its own request-id space, so it hands out its own router ids and merges
+the shards' acks under them in ``drain_responses``: one response per
+router id, carrying the same ring-order verdicts, which keeps the
+runtime's strict PUT accounting (accepted/rejected/failed/
+unacknowledged) intact.  A fully-dead owner set shows up as
+*unacknowledged*, never as a silent success.
+
+Counters count items: a group record that fails, or that an open
+breaker refuses, adds one ``get_timeouts``/``put_timeouts`` (and one
+``circuit_skips``) per item it carried, so every path reports the same
+numbers for the same requests.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -124,54 +138,38 @@ class RouterStats:
 
 
 @dataclass
-class _PendingBatch:
-    """A one-way PUT batch awaiting acks from several shards."""
-
-    router_id: int
-    n_items: int
-    primaries: list[str]
-    verdicts: dict[int, PutResponse] = field(default_factory=dict)
-    primary_seen: set[int] = field(default_factory=set)
-    emitted: bool = False
-
-
-@dataclass
-class _PendingCall:
-    """One pipelined (submitted, not yet waited) routed call."""
-
-    request: Message
-    kind: str  # "get" | "put"
-    # GET: the primary the request reached (None if nothing hit the wire,
-    # e.g. no owners or the breaker was open) and its shard-local slot id.
-    primary: str | None = None
-    local_id: int | None = None
-    # PUT: every (shard, shard-local slot id) submitted, in ring order.
-    subs: list = field(default_factory=list)
-
-
-@dataclass
 class _PendingGetGroup:
-    """One pipelined GET sub-batch bound for a single primary shard."""
+    """One submitted GET group bound for a single primary shard."""
 
     requests: list
-    # None when nothing reached the wire (no live owners, open breaker,
-    # or the send itself failed): wait falls back to per-item routing.
+    # None when the group has no live owner: nothing reached the wire.
     primary: str | None = None
+    # None when the primary's breaker refused the record or the send
+    # failed: wait routes every item past the primary.
     local_id: int | None = None
 
 
 @dataclass
 class _PendingPutGroup:
-    """One pipelined PUT sub-batch sharing a primary shard.
+    """One submitted PUT group: one record per owner shard.
 
-    Replication spreads the group's copies over several shards, so the
-    group holds one submitted batch record per owner shard:
-    ``subs`` is ``(shard, shard-local slot id, item positions)``.
+    ``subs`` is ``(shard, shard-local slot id or None, item positions)``;
+    a None id means the breaker refused the record or the send failed.
     """
 
     requests: list
-    primaries: list  # per item: its primary shard id, "" when none live
+    owners: list  # per item: its write owners in ring order
     subs: list = field(default_factory=list)
+
+
+@dataclass
+class _PendingOneway:
+    """A one-way PUT batch awaiting acks from its owner shards."""
+
+    owners: list  # per item: its write owners in ring order
+    answers: list  # per item: shard -> that shard's verdict
+    outstanding: set = field(default_factory=set)  # shards not yet answered
+    emitted: bool = False
 
 
 class ClusterRouter:
@@ -199,14 +197,12 @@ class ClusterRouter:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.clock = clock
         self._next_router_id = 1
-        # (shard, local id) -> router id, for one-way singles and batches.
-        self._single_by_key: dict[tuple[str, int], int] = {}
-        self._single_keys: dict[int, set[tuple[str, int]]] = {}
-        self._single_done: set[int] = set()
+        # Submitted-but-unwaited groups: router id -> pending group.
+        self._pipeline: dict[int, _PendingGetGroup | _PendingPutGroup] = {}
+        # One-way PUT batches: (shard, local id) -> (router id, item
+        # positions), and router id -> the batch's merge state.
         self._batch_by_key: dict[tuple[str, int], tuple[int, list[int]]] = {}
-        self._batches: dict[int, _PendingBatch] = {}
-        # Pipelined calls: router id -> submitted-but-unwaited state.
-        self._pipeline: dict[int, _PendingCall] = {}
+        self._batches: dict[int, _PendingOneway] = {}
         # Fire-and-forget sends whose acks are router-internal (read
         # repair): absorbed on drain, never surfaced to the runtime.
         self._absorb_keys: set[tuple[str, int]] = set()
@@ -240,6 +236,13 @@ class ClusterRouter:
         """Forget a shard that left the ring (its pending acks are void)."""
         self._clients.pop(shard_id, None)
         self._breakers.pop(shard_id, None)
+        self._absorb_keys = {k for k in self._absorb_keys if k[0] != shard_id}
+        for key in [k for k in self._batch_by_key if k[0] == shard_id]:
+            router_id, _ = self._batch_by_key.pop(key)
+            pending = self._batches[router_id]
+            pending.outstanding.discard(shard_id)
+            if not pending.outstanding:
+                del self._batches[router_id]
 
     # -- hardening knobs -------------------------------------------------------
     _retry_policy: "RetryPolicy | None" = None
@@ -266,54 +269,39 @@ class ClusterRouter:
             self._breakers[shard] = breaker
         return breaker
 
+    def _allowed(self, shard: str, items: int = 1) -> bool:
+        """Ask the shard's breaker whether a record may go out; a refusal
+        counts one circuit skip per item the record would have carried."""
+        breaker = self._breaker(shard)
+        if breaker is None or breaker.allow():
+            return True
+        self.stats.circuit_skips += items
+        return False
+
+    def _record(self, shard: str, ok: bool) -> None:
+        breaker = self._breaker(shard)
+        if breaker is None:
+            return
+        if ok:
+            breaker.record_success()
+        else:
+            breaker.record_failure()
+
     def _call_shard(self, shard: str, request: Message) -> Message:
         """One synchronous shard call through that shard's breaker."""
-        breaker = self._breaker(shard)
-        if breaker is not None and not breaker.allow():
-            self.stats.circuit_skips += 1
+        if not self._allowed(shard):
             raise CircuitOpenError(f"circuit open for shard {shard!r}")
         try:
             response = self._clients[shard].call(request)
         except _SHARD_FAILURES:
-            if breaker is not None:
-                breaker.record_failure()
+            self._record(shard, False)
             raise
-        if breaker is not None:
-            breaker.record_success()
+        self._record(shard, True)
         return response
-
-    def _call_shard_batch(self, shard: str, requests: list) -> list[Message]:
-        breaker = self._breaker(shard)
-        if breaker is not None and not breaker.allow():
-            self.stats.circuit_skips += 1
-            raise CircuitOpenError(f"circuit open for shard {shard!r}")
-        try:
-            responses = self._clients[shard].call_batch(requests)
-        except _SHARD_FAILURES:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
-        return responses
-
-    def _oneway_allowed(self, shard: str) -> bool:
-        """Breaker gate for fire-and-forget sends (no response to learn
-        from, so only the open/closed state is consulted)."""
-        breaker = self._breaker(shard)
-        if breaker is not None and not breaker.allow():
-            self.stats.circuit_skips += 1
-            return False
-        return True
 
     @property
     def records_sent(self) -> int:
         return sum(c.records_sent for c in self._clients.values())
-
-    def _owners(self, tag: bytes) -> list[str]:
-        """The tag's owner shards this router can actually reach."""
-        owners = self.ring.owners(tag, self.replication_factor)
-        return [s for s in owners if s in self._clients]
 
     def _read_owners(self, tag: bytes) -> list[str]:
         """Reachable shards to consult for a GET.  During a topology
@@ -340,24 +328,38 @@ class ClusterRouter:
         self._next_router_id += 1
         return router_id
 
-    # -- synchronous single calls ---------------------------------------------
+    # -- the per-item GET step -------------------------------------------------
     def call(self, request: Message) -> Message:
+        """Route one request and block on its answer.  A GET takes the
+        per-item failover step directly; a PUT is a one-item group and
+        raises :class:`~repro.errors.NoLiveOwnerError` when no owner
+        answered."""
         if isinstance(request, GetRequest):
             return self._route_get(request)
-        if isinstance(request, PutRequest):
-            return self._route_put(request)
-        raise ProtocolError(
-            f"cluster router cannot route {type(request).__name__}"
-        )
+        with self.tracer.span("router.put", clock=self.clock):
+            return self.wait(self.submit(request))
 
-    def _route_get(self, request: GetRequest, skip: set[str] | None = None) -> GetResponse:
+    def _route_get(
+        self,
+        request: GetRequest,
+        failed: str | None = None,
+        missed: str | None = None,
+    ) -> GetResponse:
+        """Ask the tag's owners in ring order until one hits.
+
+        ``failed`` names an owner that already failed this GET (its
+        record was lost or its breaker refused it): it is counted as a
+        timeout and not asked again.  ``missed`` names an owner that
+        already answered miss: it is read-repaired if a later owner hits.
+        """
         self.stats.gets_routed += 1
-        owners = self._read_owners(request.tag)
-        if skip:
-            owners = [s for s in owners if s not in skip]
+        owners = [
+            s for s in self._read_owners(request.tag) if s not in (failed, missed)
+        ]
         with self.tracer.span("router.get", clock=self.clock, owners=len(owners)) as span:
-            missed_live: list[str] = []
-            timeouts = 0
+            missed_live = [missed] if missed is not None else []
+            timeouts = int(failed is not None)
+            self.stats.get_timeouts += timeouts
             hit: GetResponse | None = None
             for shard in owners:
                 with self.tracer.span(
@@ -370,10 +372,7 @@ class ClusterRouter:
                         timeouts += 1
                         shard_span.mark("timeout")
                         continue
-                if not isinstance(response, GetResponse):
-                    raise ProtocolError(
-                        f"shard {shard!r} answered GET with {type(response).__name__}"
-                    )
+                _check_get(shard, response)
                 if response.found:
                     hit = response
                     break
@@ -409,7 +408,7 @@ class ClusterRouter:
             app_id=request.app_id,
         )
         with self.tracer.span("router.read_repair", clock=self.clock, shard=shard) as span:
-            if not self._oneway_allowed(shard):
+            if not self._allowed(shard):
                 span.mark("circuit_open")
                 return
             try:
@@ -420,121 +419,48 @@ class ClusterRouter:
         self._absorb_keys.add((shard, local_id))
         self.stats.read_repairs += 1
 
-    def _route_put(self, request: PutRequest) -> Message:
-        self.stats.puts_routed += 1
-        owners = self._write_owners(request.tag)
-        with self.tracer.span("router.put", clock=self.clock, owners=len(owners)) as span:
-            authoritative: Message | None = None
-            for index, shard in enumerate(owners):
-                if index:
-                    self.stats.replica_puts += 1
-                with self.tracer.span(
-                    "router.shard_put", clock=self.clock, shard=shard
-                ) as shard_span:
-                    try:
-                        response = self._call_shard(shard, request)
-                    except _SHARD_FAILURES:
-                        self.stats.put_timeouts += 1
-                        shard_span.mark("timeout")
-                        continue
-                if authoritative is None:
-                    # The first *live* owner in ring order is authoritative —
-                    # the primary when it is up, else the first replica.
-                    authoritative = response
-                else:
-                    self._count_replica_ack(response)
-            if authoritative is None:
-                span.mark("unavailable")
-                raise NoLiveOwnerError(
-                    f"{NO_LIVE_OWNER} for tag {request.tag[:8].hex()}"
-                )
-            return authoritative
-
+    # -- PUT verdicts ----------------------------------------------------------
     def _count_replica_ack(self, response: Message) -> None:
         if isinstance(response, PutResponse) and response.accepted:
             self.stats.replica_put_acks += 1
         else:
             self.stats.replica_put_rejects += 1
 
-    # -- pipelined calls -------------------------------------------------------
-    def submit(self, request: Message) -> int:
-        """Pipelined routing: put the request on the wire (GET to its
-        primary, PUT to every owner) and return a router slot id for
-        :meth:`wait`.  Distinct tags land on distinct shards, so N
-        submitted requests are served by the shards concurrently instead
-        of one blocking round trip at a time.
-        """
-        if isinstance(request, GetRequest):
-            pending = self._submit_get(request)
-        elif isinstance(request, PutRequest):
-            pending = self._submit_put(request)
-        else:
-            raise ProtocolError(
-                f"cluster router cannot route {type(request).__name__}"
-            )
-        router_id = self._fresh_router_id()
-        self._pipeline[router_id] = pending
-        return router_id
-
-    def _submit_get(self, request: GetRequest) -> _PendingCall:
-        self.stats.gets_routed += 1
-        pending = _PendingCall(request=request, kind="get")
-        owners = self._read_owners(request.tag)
-        if owners:
-            shard = owners[0]
-            breaker = self._breaker(shard)
-            if breaker is None or breaker.allow():
-                with self.tracer.span(
-                    "router.shard_get", clock=self.clock, shard=shard
-                ) as span:
-                    try:
-                        pending.local_id = self._clients[shard].submit(request)
-                        pending.primary = shard
-                    except _SHARD_FAILURES:
-                        if breaker is not None:
-                            breaker.record_failure()
-                        span.mark("timeout")
-            else:
-                self.stats.circuit_skips += 1
-        return pending
-
-    def _submit_put(self, request: PutRequest) -> _PendingCall:
-        self.stats.puts_routed += 1
-        pending = _PendingCall(request=request, kind="put")
-        for index, shard in enumerate(self._write_owners(request.tag)):
-            if index:
-                self.stats.replica_puts += 1
-            breaker = self._breaker(shard)
-            if breaker is not None and not breaker.allow():
-                self.stats.circuit_skips += 1
+    def _put_verdict(
+        self, owners: list[str], answers: dict[str, Message]
+    ) -> Message | None:
+        """The first owner in ring order that answered is authoritative —
+        the primary when it is up, else the first live replica.  Every
+        other answer is absorbed as a replica ack.  None: nobody
+        answered."""
+        verdict = None
+        for shard in owners:
+            answer = answers.get(shard)
+            if answer is None:
                 continue
-            with self.tracer.span(
-                "router.shard_put", clock=self.clock, shard=shard
-            ) as span:
-                try:
-                    local_id = self._clients[shard].submit(request)
-                except _SHARD_FAILURES:
-                    if breaker is not None:
-                        breaker.record_failure()
-                    self.stats.put_timeouts += 1
-                    span.mark("timeout")
-                    continue
-            pending.subs.append((shard, local_id))
-        return pending
+            if verdict is None:
+                verdict = answer
+            else:
+                self._count_replica_ack(answer)
+        return verdict
 
-    # -- grouped pipelining (one record per shard sub-batch) -------------------
-    def plan_gets(self, requests: list[GetRequest]) -> list[list[int]]:
-        """Partition GET indices by primary owner shard.
+    def _by_owner_shard(self, owners: list[list[str]]) -> list[tuple[str, list[int]]]:
+        """Item positions per owner shard (primary and replicas), in
+        shard-id order: one record per shard carries all its copies."""
+        groups: dict[str, list[int]] = {}
+        for i, item_owners in enumerate(owners):
+            for k, shard in enumerate(item_owners):
+                groups.setdefault(shard, []).append(i)
+                if k:
+                    self.stats.replica_puts += 1
+        return sorted(groups.items())
 
-        Each group can ship as one channel record to one shard, so a
-        round of N GETs across S shards costs S records — and the S
-        shards serve their sub-batches concurrently.  Items with no live
-        owner form their own group (answered without touching the wire).
-        """
+    # -- the core: plan -> submit -> wait ------------------------------------
+    def _plan(self, requests: list, owners_of) -> list[list[int]]:
         groups: dict[str, list[int]] = {}
         orphans: list[int] = []
         for i, request in enumerate(requests):
-            owners = self._read_owners(request.tag)
+            owners = owners_of(request.tag)
             if owners:
                 groups.setdefault(owners[0], []).append(i)
             else:
@@ -543,99 +469,15 @@ class ClusterRouter:
         out.extend([i] for i in orphans)
         return out
 
-    def submit_gets(self, requests: list[GetRequest]) -> int:
-        """Submit one :meth:`plan_gets` group (a shared-primary GET
-        sub-batch) as a single record; returns a router slot id for
-        :meth:`wait_gets`."""
-        requests = list(requests)
-        pending = _PendingGetGroup(requests=requests)
-        owners = self._read_owners(requests[0].tag) if requests else []
-        if owners:
-            shard = owners[0]
-            breaker = self._breaker(shard)
-            if breaker is None or breaker.allow():
-                with self.tracer.span(
-                    "router.shard_get", clock=self.clock, shard=shard,
-                    items=len(requests),
-                ) as span:
-                    try:
-                        pending.local_id = self._clients[shard].submit_gets(requests)
-                        pending.primary = shard
-                    except _SHARD_FAILURES:
-                        if breaker is not None:
-                            breaker.record_failure()
-                        span.mark("timeout")
-            else:
-                self.stats.circuit_skips += 1
-        router_id = self._fresh_router_id()
-        self._pipeline[router_id] = pending
-        return router_id
+    def plan_gets(self, requests: list[GetRequest]) -> list[list[int]]:
+        """Partition GET indices by primary owner shard.
 
-    def wait_gets(self, router_id: int, n_items: int | None = None) -> list[Message]:
-        """Settle one GET group; per-item semantics match ``call_batch``.
-
-        A group whose shard failed (at submit or in flight) falls back to
-        per-item routing through the surviving replicas; a live primary's
-        per-item miss consults the replicas and read-repairs the primary
-        on a replica hit.  Items with no live owner anywhere come back as
-        ``found=False`` / ``no live owner``.
+        Each group can ship as one channel record to one shard, so a
+        round of N GETs across S shards costs S records — and the S
+        shards serve their sub-batches concurrently.  Items with no live
+        owner form their own group (answered without touching the wire).
         """
-        pending = self._pipeline.pop(router_id, None)
-        if not isinstance(pending, _PendingGetGroup):
-            if pending is not None:  # a single-call slot: put it back
-                self._pipeline[router_id] = pending
-            raise ProtocolError(
-                f"router group {router_id} was never submitted (or already waited on)"
-            )
-        requests = pending.requests
-        if n_items is not None and n_items != len(requests):
-            self._pipeline[router_id] = pending
-            raise ProtocolError(
-                f"router group {router_id} has {len(requests)} item(s), "
-                f"waiter expected {n_items}"
-            )
-        if pending.primary is None:
-            return [self._route_get(r) for r in requests]
-        shard = pending.primary
-        breaker = self._breaker(shard)
-        responses: list[Message] | None = None
-        with self.tracer.span(
-            "router.shard_get", clock=self.clock, shard=shard,
-            items=len(requests),
-        ) as span:
-            try:
-                responses = self._clients[shard].wait_gets(
-                    pending.local_id, len(requests)
-                )
-            except _SHARD_FAILURES:
-                if breaker is not None:
-                    breaker.record_failure()
-                self.stats.get_timeouts += 1
-                span.mark("timeout")
-        if responses is None:
-            out: list[Message] = []
-            for request in requests:
-                response = self._route_get(request, skip={shard})
-                if response.found:
-                    self.stats.failovers += 1
-                    self.tracer.event("router.failover", clock=self.clock)
-                out.append(response)
-            return out
-        if breaker is not None:
-            breaker.record_success()
-        self.stats.gets_routed += len(requests)
-        out = []
-        for request, response in zip(requests, responses):
-            if not isinstance(response, GetResponse):
-                raise ProtocolError(
-                    f"shard {shard!r} answered GET with {type(response).__name__}"
-                )
-            if response.found:
-                out.append(response)
-            else:
-                self.stats.gets_routed -= 1  # _route_get_after_miss recounts
-                out.append(self._route_get_after_miss(request, shard))
-        return out
+        return self._plan(requests, self._read_owners)
 
     def plan_puts(self, requests: list[PutRequest]) -> list[list[int]]:
         """Partition PUT indices by primary owner shard.
@@ -645,514 +487,259 @@ class ClusterRouter:
         round of N replicated PUTs costs O(shards) records.  Items with
         no live owner form their own group (answered without touching
         the wire)."""
-        groups: dict[str, list[int]] = {}
-        orphans: list[int] = []
-        for i, request in enumerate(requests):
-            owners = self._write_owners(request.tag)
-            if owners:
-                groups.setdefault(owners[0], []).append(i)
-            else:
-                orphans.append(i)
-        out = [indices for _, indices in sorted(groups.items())]
-        out.extend([i] for i in orphans)
-        return out
+        return self._plan(requests, self._write_owners)
 
-    def submit_puts(self, requests: list[PutRequest]) -> int:
-        """Submit one :meth:`plan_puts` group: one batch record to every
-        owner shard of the group's items; returns a router slot id for
-        :meth:`wait_puts`."""
-        requests = list(requests)
-        self.stats.puts_routed += len(requests)
-        owners_per_item = [self._write_owners(r.tag) for r in requests]
-        pending = _PendingPutGroup(
-            requests=requests,
-            primaries=[owners[0] if owners else "" for owners in owners_per_item],
-        )
-        groups: dict[str, list[int]] = {}
-        for i, owners in enumerate(owners_per_item):
-            for k, shard in enumerate(owners):
-                groups.setdefault(shard, []).append(i)
-                if k:
-                    self.stats.replica_puts += 1
-        for shard, positions in sorted(groups.items()):
-            breaker = self._breaker(shard)
-            if breaker is not None and not breaker.allow():
-                self.stats.circuit_skips += 1
-                continue
-            sub = [requests[p] for p in positions]
-            with self.tracer.span(
-                "router.shard_put", clock=self.clock, shard=shard,
-                items=len(sub),
-            ) as span:
-                try:
-                    local_id = self._clients[shard].submit_puts(sub)
-                except _SHARD_FAILURES:
-                    if breaker is not None:
-                        breaker.record_failure()
-                    self.stats.put_timeouts += 1
-                    span.mark("timeout")
-                    continue
-            pending.subs.append((shard, local_id, positions))
+    def _submit_to(self, shard: str, requests: list, kind: str) -> int | None:
+        """Send one group record to one shard; None if the shard's
+        breaker refused it or the send failed."""
+        if not self._allowed(shard, len(requests)):
+            return None
+        client = self._clients[shard]
+        submit = client.submit_gets if kind == "get" else client.submit_puts
+        with self.tracer.span(
+            f"router.shard_{kind}", clock=self.clock, shard=shard,
+            items=len(requests),
+        ) as span:
+            try:
+                return submit(requests)
+            except _SHARD_FAILURES:
+                self._record(shard, False)
+                span.mark("timeout")
+                return None
+
+    def _wait_on(
+        self, shard: str, local_id: int | None, n_items: int, kind: str
+    ) -> list[Message] | None:
+        """Settle one shard's group record; None if it was never sent or
+        the shard did not answer."""
+        client = self._clients.get(shard)
+        if local_id is None or client is None:
+            return None
+        wait = client.wait_gets if kind == "get" else client.wait_puts
+        with self.tracer.span(
+            f"router.shard_{kind}", clock=self.clock, shard=shard, items=n_items,
+        ) as span:
+            try:
+                items = wait(local_id, n_items)
+            except _SHARD_FAILURES:
+                self._record(shard, False)
+                span.mark("timeout")
+                return None
+        self._record(shard, True)
+        return items
+
+    def _park(self, pending) -> int:
         router_id = self._fresh_router_id()
         self._pipeline[router_id] = pending
         return router_id
 
+    def _take(self, router_id: int, kind: type, n_items: int | None):
+        """Remove and return a submitted group, checking its kind and size
+        first (a refused slot stays settleable)."""
+        pending = self._pipeline.get(router_id)
+        if not isinstance(pending, kind):
+            raise ProtocolError(
+                f"router slot {router_id} holds no pending group of that "
+                "kind (never submitted, or already waited on)"
+            )
+        if n_items is not None and n_items != len(pending.requests):
+            raise ProtocolError(
+                f"router slot {router_id} has {len(pending.requests)} "
+                f"item(s), waiter expected {n_items}"
+            )
+        del self._pipeline[router_id]
+        return pending
+
+    def submit_gets(self, requests: list[GetRequest]) -> int:
+        """Submit one :meth:`plan_gets` group (a shared-primary GET
+        sub-batch) as a single record; returns a router slot id for
+        :meth:`wait_gets`."""
+        requests = list(requests)
+        owners = self._read_owners(requests[0].tag) if requests else []
+        pending = _PendingGetGroup(requests=requests)
+        if owners:
+            pending.primary = owners[0]
+            pending.local_id = self._submit_to(owners[0], requests, "get")
+        return self._park(pending)
+
+    def wait_gets(self, router_id: int, n_items: int | None = None) -> list[Message]:
+        """Settle one GET group into per-item responses.
+
+        A group whose primary failed (refused at submit, or lost in
+        flight) routes every item past it through the surviving
+        replicas; a live primary's per-item miss consults the replicas
+        and read-repairs the primary on a replica hit.  Items with no
+        live owner anywhere come back ``found=False`` / ``no live
+        owner``.
+        """
+        pending = self._take(router_id, _PendingGetGroup, n_items)
+        requests, shard = pending.requests, pending.primary
+        if shard is None:
+            return [self._route_get(r) for r in requests]
+        responses = self._wait_on(shard, pending.local_id, len(requests), "get")
+        if responses is None:
+            return [self._route_get(r, failed=shard) for r in requests]
+        out: list[Message] = []
+        for request, response in zip(requests, responses):
+            _check_get(shard, response)
+            if response.found:
+                self.stats.gets_routed += 1
+                out.append(response)
+            else:
+                out.append(self._route_get(request, missed=shard))
+        return out
+
+    def submit_puts(self, requests: list[PutRequest]) -> int:
+        """Submit a PUT group: one batch record to every owner shard of
+        the group's items; returns a router slot id for
+        :meth:`wait_puts`."""
+        requests = list(requests)
+        self.stats.puts_routed += len(requests)
+        owners = [self._write_owners(r.tag) for r in requests]
+        pending = _PendingPutGroup(requests=requests, owners=owners)
+        for shard, positions in self._by_owner_shard(owners):
+            sub = [requests[p] for p in positions]
+            pending.subs.append((shard, self._submit_to(shard, sub, "put"), positions))
+        return self._park(pending)
+
     def wait_puts(self, router_id: int, n_items: int | None = None) -> list[Message]:
-        """Settle one PUT group; per-item semantics match
-        ``call_batch``: the primary's verdict is authoritative where it
-        is live, replica verdicts are absorbed into router counters, and
-        items no live owner answered come back ``accepted=False`` with a
-        ``no live owner`` reason."""
-        pending = self._pipeline.pop(router_id, None)
-        if not isinstance(pending, _PendingPutGroup):
-            if pending is not None:  # some other slot kind: put it back
-                self._pipeline[router_id] = pending
-            raise ProtocolError(
-                f"router PUT group {router_id} was never submitted "
-                "(or already waited on)"
-            )
-        requests = pending.requests
-        if n_items is not None and n_items != len(requests):
-            self._pipeline[router_id] = pending
-            raise ProtocolError(
-                f"router PUT group {router_id} has {len(requests)} item(s), "
-                f"waiter expected {n_items}"
-            )
-        verdicts: list[Message | None] = [None] * len(requests)
-        primary_seen = [False] * len(requests)
+        """Settle one PUT group into per-item verdicts (see
+        :meth:`_put_verdict`); items no owner answered come back
+        ``accepted=False`` with a ``no live owner`` reason."""
+        pending = self._take(router_id, _PendingPutGroup, n_items)
+        answers: list[dict[str, Message]] = [{} for _ in pending.requests]
         for shard, local_id, positions in pending.subs:
-            breaker = self._breaker(shard)
-            items: list[Message] | None = None
-            with self.tracer.span(
-                "router.shard_put", clock=self.clock, shard=shard,
-                items=len(positions),
-            ) as span:
-                try:
-                    items = self._clients[shard].wait_puts(
-                        local_id, len(positions)
-                    )
-                except _SHARD_FAILURES:
-                    if breaker is not None:
-                        breaker.record_failure()
-                    self.stats.put_timeouts += 1
-                    span.mark("timeout")
+            items = self._wait_on(shard, local_id, len(positions), "put")
             if items is None:
+                self.stats.put_timeouts += len(positions)
                 continue
-            if breaker is not None:
-                breaker.record_success()
             for p, item in zip(positions, items):
-                if pending.primaries[p] == shard:
-                    if verdicts[p] is not None:
-                        self._count_replica_ack(verdicts[p])
-                    verdicts[p] = item
-                    primary_seen[p] = True
-                elif verdicts[p] is None and not primary_seen[p]:
-                    verdicts[p] = item
-                else:
-                    self._count_replica_ack(item)
-        return [
-            verdict if verdict is not None
-            else PutResponse(accepted=False, reason=NO_LIVE_OWNER)
-            for verdict in verdicts
-        ]
+                answers[p][shard] = item
+        out: list[Message] = []
+        for owners, answer in zip(pending.owners, answers):
+            verdict = self._put_verdict(owners, answer)
+            out.append(
+                PutResponse(accepted=False, reason=NO_LIVE_OWNER)
+                if verdict is None else verdict
+            )
+        return out
+
+    def submit(self, request: Message) -> int:
+        """Submit one request as a one-item group; settle with :meth:`wait`."""
+        if isinstance(request, GetRequest):
+            return self.submit_gets([request])
+        if isinstance(request, PutRequest):
+            return self.submit_puts([request])
+        raise ProtocolError(f"cluster router cannot route {type(request).__name__}")
 
     def wait(self, router_id: int) -> Message:
-        """Settle one pipelined call; semantics match :meth:`call`.
-
-        A GET whose primary failed while in flight fails over through
-        the surviving replicas (read-repairing on a replica hit) and
-        only reports ``no live owner`` when every owner is gone; a PUT's
-        first live owner in ring order stays authoritative, the others'
-        verdicts are absorbed as replica acks.
-        """
-        pending = self._pipeline.pop(router_id, None)
-        if not isinstance(pending, _PendingCall):
-            if pending is not None:  # a group slot: put it back
-                self._pipeline[router_id] = pending
-            raise ProtocolError(
-                f"router call {router_id} was never submitted (or already waited on)"
-            )
-        if pending.kind == "get":
-            return self._wait_get(pending)
-        return self._wait_put(pending)
-
-    def _wait_get(self, pending: _PendingCall) -> GetResponse:
-        request = pending.request
-        if pending.primary is None:
-            # Nothing reached the wire at submit: route from scratch
-            # (which re-counts the GET, so undo the submit-time count).
-            self.stats.gets_routed -= 1
-            return self._route_get(request)
-        shard = pending.primary
-        breaker = self._breaker(shard)
-        response: Message | None = None
-        with self.tracer.span(
-            "router.shard_get", clock=self.clock, shard=shard
-        ) as span:
-            try:
-                response = self._clients[shard].wait(pending.local_id)
-            except _SHARD_FAILURES:
-                if breaker is not None:
-                    breaker.record_failure()
-                self.stats.get_timeouts += 1
-                span.mark("timeout")
-        if response is None:
-            self.stats.gets_routed -= 1
-            fallback = self._route_get(request, skip={shard})
-            if fallback.found:
-                self.stats.failovers += 1
-                self.tracer.event("router.failover", clock=self.clock)
-            return fallback
-        if breaker is not None:
-            breaker.record_success()
-        if not isinstance(response, GetResponse):
-            raise ProtocolError(
-                f"shard {shard!r} answered GET with {type(response).__name__}"
-            )
-        if response.found:
+        """Settle a one-item group; semantics match :meth:`call`."""
+        pending = self._pipeline.get(router_id)
+        if not isinstance(pending, _PendingPutGroup):
+            (response,) = self.wait_gets(router_id, 1)
             return response
-        # Primary live miss: consult the replicas, read-repairing the
-        # primary on a replica hit (same as the synchronous path).
-        self.stats.gets_routed -= 1
-        return self._route_get_after_miss(request, shard)
-
-    def _wait_put(self, pending: _PendingCall) -> Message:
-        authoritative: Message | None = None
-        for shard, local_id in pending.subs:
-            breaker = self._breaker(shard)
-            with self.tracer.span(
-                "router.shard_put", clock=self.clock, shard=shard
-            ) as span:
-                try:
-                    response = self._clients[shard].wait(local_id)
-                except _SHARD_FAILURES:
-                    if breaker is not None:
-                        breaker.record_failure()
-                    self.stats.put_timeouts += 1
-                    span.mark("timeout")
-                    continue
-            if breaker is not None:
-                breaker.record_success()
-            if authoritative is None:
-                # subs is in ring order: the first live owner is the
-                # primary when it is up, else the first replica.
-                authoritative = response
-            else:
-                self._count_replica_ack(response)
-        if authoritative is None:
+        (response,) = self.wait_puts(router_id, 1)
+        if isinstance(response, PutResponse) and response.reason == NO_LIVE_OWNER:
             raise NoLiveOwnerError(
-                f"{NO_LIVE_OWNER} for tag {pending.request.tag[:8].hex()}"
+                f"{NO_LIVE_OWNER} for tag {pending.requests[0].tag[:8].hex()}"
             )
-        return authoritative
+        return response
 
-    # -- batched calls ---------------------------------------------------------
     def call_batch(self, requests: list[Message]) -> list[Message]:
+        """Route a uniform batch: every GET group, or the whole PUT batch
+        as one group, is submitted and settled in turn."""
         requests = list(requests)
         if not requests:
             return []
-        if all(isinstance(r, GetRequest) for r in requests):
-            return self._route_batch_get(requests)
         if all(isinstance(r, PutRequest) for r in requests):
-            return self._route_batch_put(requests)
-        raise ProtocolError("call_batch needs a uniform list of GETs or PUTs")
-
-    def _route_batch_get(self, requests: list[GetRequest]) -> list[Message]:
-        """Split a GET batch per primary shard; rejoin in item order.
-
-        A shard that fails its whole sub-batch does not poison the other
-        shards' items: its items retry individually through their
-        surviving replicas and, when none is live, come back as per-item
-        ``found=False`` failures in their original positions.
-        """
-        n = len(requests)
-        batch_span = self.tracer.span("router.batch_get", clock=self.clock, items=n)
-        with batch_span:
-            results: list[Message | None] = [None] * n
-            groups: dict[str, list[int]] = {}
-            for i, request in enumerate(requests):
-                owners = self._read_owners(request.tag)
-                if not owners:
-                    self.stats.gets_routed += 1
-                    self.stats.unavailable += 1
-                    results[i] = GetResponse(found=False, reason=NO_LIVE_OWNER)
-                    continue
-                groups.setdefault(owners[0], []).append(i)
-            for shard, indices in sorted(groups.items()):
-                sub = [requests[i] for i in indices]
-                with self.tracer.span(
-                    "router.shard_get", clock=self.clock, shard=shard, items=len(sub)
-                ) as shard_span:
-                    try:
-                        if len(sub) == 1:
-                            responses = [self._call_shard(shard, sub[0])]
-                        else:
-                            responses = self._call_shard_batch(shard, sub)
-                    except _SHARD_FAILURES:
-                        # Whole sub-batch lost: route each item through its
-                        # replicas (the primary is skipped — it just failed).
-                        self.stats.get_timeouts += 1
-                        shard_span.mark("timeout")
-                        for i in indices:
-                            response = self._route_get(requests[i], skip={shard})
-                            if response.found:
-                                # Served by a replica after the intended shard
-                                # failed — a failover, same as the single path.
-                                self.stats.failovers += 1
-                                self.tracer.event("router.failover", clock=self.clock)
-                            results[i] = response
-                        continue
-                self.stats.gets_routed += len(sub)
-                for i, response in zip(indices, responses):
-                    if not isinstance(response, GetResponse):
-                        raise ProtocolError(
-                            f"shard {shard!r} answered GET with {type(response).__name__}"
-                        )
-                    if response.found:
-                        results[i] = response
-                    else:
-                        # Primary miss: fall through to the replicas (and
-                        # read-repair the primary on a replica hit).
-                        self.stats.gets_routed -= 1  # _route_get recounts it
-                        results[i] = self._route_get_after_miss(requests[i], shard)
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:
-            # A shard returned fewer responses than sub-batch items; the
-            # zip above left gaps.  Surface it rather than shifting the
-            # caller's correlation by silently dropping positions.
-            raise ProtocolError(
-                f"batch GET left {len(missing)} item(s) unanswered"
-            )
-        return results
-
-    def _route_get_after_miss(
-        self, request: GetRequest, missed_primary: str
-    ) -> GetResponse:
-        """Continue a GET past a live primary's miss: consult replicas,
-        read-repair the primary if one of them hits."""
-        self.stats.gets_routed += 1
-        owners = [s for s in self._read_owners(request.tag) if s != missed_primary]
-        if not owners:
-            return GetResponse(found=False)
-        missed_live = [missed_primary]
-        timeouts = 0
-        for shard in owners:
-            with self.tracer.span(
-                "router.shard_get", clock=self.clock, shard=shard
-            ) as shard_span:
-                try:
-                    response = self._call_shard(shard, request)
-                except _SHARD_FAILURES:
-                    self.stats.get_timeouts += 1
-                    timeouts += 1
-                    shard_span.mark("timeout")
-                    continue
-            if not isinstance(response, GetResponse):
-                raise ProtocolError(
-                    f"shard {shard!r} answered GET with {type(response).__name__}"
-                )
-            if response.found:
-                if timeouts:
-                    self.stats.failovers += 1
-                    self.tracer.event("router.failover", clock=self.clock,
-                                      timeouts=timeouts)
-                for miss in missed_live:
-                    self._queue_read_repair(miss, request, response)
-                return response
-            missed_live.append(shard)
-        return GetResponse(found=False)
-
-    def _route_batch_put(self, requests: list[PutRequest]) -> list[Message]:
-        """Write every item to all its owners; per-item verdicts rejoin
-        in order, the primary's verdict authoritative where it is live."""
-        n = len(requests)
-        self.stats.puts_routed += n
-        with self.tracer.span("router.batch_put", clock=self.clock, items=n):
-            owners_per_item = [self._write_owners(r.tag) for r in requests]
-            verdicts: list[Message | None] = [None] * n
-            primary_seen = [False] * n
-            groups: dict[str, list[int]] = {}
-            for i, owners in enumerate(owners_per_item):
-                for k, shard in enumerate(owners):
-                    groups.setdefault(shard, []).append(i)
-                    if k:
-                        self.stats.replica_puts += 1
-            for shard, indices in sorted(groups.items()):
-                sub = [requests[i] for i in indices]
-                with self.tracer.span(
-                    "router.shard_put", clock=self.clock, shard=shard, items=len(sub)
-                ) as shard_span:
-                    try:
-                        if len(sub) == 1:
-                            responses = [self._call_shard(shard, sub[0])]
-                        else:
-                            responses = self._call_shard_batch(shard, sub)
-                    except _SHARD_FAILURES:
-                        self.stats.put_timeouts += 1
-                        shard_span.mark("timeout")
-                        continue
-                for i, response in zip(indices, responses):
-                    is_primary = owners_per_item[i] and owners_per_item[i][0] == shard
-                    if is_primary:
-                        if verdicts[i] is not None:
-                            self._count_replica_ack(verdicts[i])
-                        verdicts[i] = response
-                        primary_seen[i] = True
-                    elif verdicts[i] is None:
-                        verdicts[i] = response
-                    else:
-                        self._count_replica_ack(response)
-            out: list[Message] = []
-            for i, verdict in enumerate(verdicts):
-                if verdict is None:
-                    out.append(PutResponse(accepted=False, reason=NO_LIVE_OWNER))
-                else:
-                    out.append(verdict)
-            return out
+            with self.tracer.span("router.batch_put", clock=self.clock,
+                                  items=len(requests)):
+                return self.wait_puts(self.submit_puts(requests), len(requests))
+        if not all(isinstance(r, GetRequest) for r in requests):
+            raise ProtocolError("call_batch needs a uniform list of GETs or PUTs")
+        out: list[Message] = [None] * len(requests)
+        with self.tracer.span("router.batch_get", clock=self.clock,
+                              items=len(requests)):
+            for group in self.plan_gets(requests):
+                sub = [requests[i] for i in group]
+                for i, response in zip(group, self.wait_gets(self.submit_gets(sub), len(sub))):
+                    out[i] = response
+        return out
 
     # -- one-way sends ---------------------------------------------------------
     def send_oneway(self, request: Message) -> int:
-        if not isinstance(request, PutRequest):
-            raise ProtocolError("one-way sends carry PUT requests")
-        self.stats.puts_routed += 1
-        router_id = self._fresh_router_id()
-        keys: set[tuple[str, int]] = set()
-        for index, shard in enumerate(self._write_owners(request.tag)):
-            if index:
-                self.stats.replica_puts += 1
-            if not self._oneway_allowed(shard):
-                continue  # breaker open: the PUT stays unacknowledged
-            local_id = self._clients[shard].send_oneway(request)
-            key = (shard, local_id)
-            keys.add(key)
-            self._single_by_key[key] = router_id
-        self._single_keys[router_id] = keys
-        return router_id
+        return self.send_oneway_batch([request])
 
     def send_oneway_batch(self, requests: list[PutRequest]) -> int:
+        """Fire-and-forget PUTs: one record per owner shard; the merged
+        per-item verdicts surface once from :meth:`drain_responses` under
+        the returned router id (a plain verdict for a one-item batch)."""
         requests = list(requests)
-        router_id = self._fresh_router_id()
+        if not all(isinstance(r, PutRequest) for r in requests):
+            raise ProtocolError("one-way sends carry PUT requests")
         self.stats.puts_routed += len(requests)
-        owners_per_item = [self._write_owners(r.tag) for r in requests]
-        pending = _PendingBatch(
-            router_id=router_id,
-            n_items=len(requests),
-            primaries=[owners[0] if owners else "" for owners in owners_per_item],
-        )
-        groups: dict[str, list[int]] = {}
-        for i, owners in enumerate(owners_per_item):
-            for k, shard in enumerate(owners):
-                groups.setdefault(shard, []).append(i)
-                if k:
-                    self.stats.replica_puts += 1
-        for shard, indices in sorted(groups.items()):
-            if not self._oneway_allowed(shard):
-                continue  # breaker open: those items stay unacknowledged
-            sub = [requests[i] for i in indices]
-            if len(sub) == 1:
-                local_id = self._clients[shard].send_oneway(sub[0])
-            else:
-                local_id = self._clients[shard].send_oneway_batch(sub)
-            self._batch_by_key[(shard, local_id)] = (router_id, list(indices))
-        self._batches[router_id] = pending
+        owners = [self._write_owners(r.tag) for r in requests]
+        router_id = self._fresh_router_id()
+        pending = _PendingOneway(owners=owners, answers=[{} for _ in requests])
+        for shard, positions in self._by_owner_shard(owners):
+            if not self._allowed(shard, len(positions)):
+                continue  # breaker open: those copies stay unacknowledged
+            sub = [requests[p] for p in positions]
+            local_id = self._clients[shard].send_oneway_batch(sub)
+            self._batch_by_key[(shard, local_id)] = (router_id, positions)
+            pending.outstanding.add(shard)
+        if pending.outstanding:
+            self._batches[router_id] = pending
         return router_id
 
     # -- drain / correlation ---------------------------------------------------
     def drain_responses(self) -> list[Message]:
-        """Drain every shard client, remap shard-local correlation ids to
-        router ids, and emit at most one response per router id.
+        """Drain every shard client and emit at most one response per
+        one-way router id, once every item has a verdict.
 
-        Replica acks beyond the first, read-repair acks, and stale
-        responses from revived shards are absorbed into router counters
-        instead of reaching the runtime, whose PUT accounting therefore
-        sees the cluster exactly as it would see one store.
+        Replica acks, read-repair acks, and stale responses from revived
+        shards are absorbed into router counters instead of reaching the
+        runtime, whose PUT accounting therefore sees the cluster exactly
+        as it would see one store.  A batch's merge state is dropped once
+        every shard it was sent to has answered (or was detached).
         """
-        out: list[Message] = []
+        touched: dict[int, _PendingOneway] = {}
         for shard in sorted(self._clients):
             for response in self._clients[shard].drain_responses():
-                self._dispatch_drained(shard, response, out)
-        return out
-
-    def _dispatch_drained(
-        self, shard: str, response: Message, out: list[Message]
-    ) -> None:
-        key = (shard, response.request_id)
-        if key in self._absorb_keys:
-            self._absorb_keys.discard(key)
-            if isinstance(response, PutResponse) and response.accepted:
-                self.stats.repair_acks += 1
-            else:
-                self.stats.repair_rejects += 1
-            return
-        if key in self._single_by_key:
-            router_id = self._single_by_key.pop(key)
-            self._single_keys[router_id].discard(key)
-            if not self._single_keys[router_id]:
-                del self._single_keys[router_id]
-            if router_id in self._single_done:
-                self._count_replica_ack(response)
-                return
-            self._single_done.add(router_id)
-            out.append(with_request_id(response, router_id))
-            return
-        if key in self._batch_by_key:
-            router_id, indices = self._batch_by_key.pop(key)
-            pending = self._batches.get(router_id)
-            if pending is None:
-                return
-            self._merge_batch_acks(pending, shard, indices, response)
-            if (
-                not pending.emitted
-                and len(pending.verdicts) == pending.n_items
-            ):
+                key = (shard, response.request_id)
+                if key in self._absorb_keys:
+                    self._absorb_keys.discard(key)
+                    if isinstance(response, PutResponse) and response.accepted:
+                        self.stats.repair_acks += 1
+                    else:
+                        self.stats.repair_rejects += 1
+                    continue
+                entry = self._batch_by_key.pop(key, None)
+                if entry is None:
+                    # A stale response from a revived shard, or a reply to
+                    # a send the router already accounted: dropped.
+                    continue
+                router_id, positions = entry
+                pending = self._batches[router_id]
+                pending.outstanding.discard(shard)
+                touched[router_id] = pending
+                for p, item in zip(positions, _ack_items(response, len(positions))):
+                    if pending.emitted:
+                        self._count_replica_ack(item)
+                    else:
+                        pending.answers[p][shard] = item
+        out: list[Message] = []
+        for router_id, pending in touched.items():
+            if not pending.emitted and all(pending.answers):
                 pending.emitted = True
-                out.append(
-                    BatchPutResponse(
-                        items=tuple(
-                            pending.verdicts[i] for i in range(pending.n_items)
-                        ),
-                        request_id=router_id,
-                    )
-                )
-            return
-        # Unknown id: a stale response from a revived shard, or a reply
-        # to a send the router already accounted.  Dropped by design.
-
-    def _merge_batch_acks(
-        self,
-        pending: _PendingBatch,
-        shard: str,
-        indices: list[int],
-        response: Message,
-    ) -> None:
-        if isinstance(response, BatchPutResponse):
-            items: list[PutResponse | ErrorMessage] = list(response.items)
-        elif isinstance(response, (PutResponse, ErrorMessage)):
-            items = [response]
-        else:
-            return
-        if len(items) != len(indices):
-            return  # malformed: leave those items unacknowledged
-        for i, item in zip(indices, items):
-            if isinstance(item, ErrorMessage):
-                # A per-shard failure verdict; rejected is the closest
-                # per-item shape a merged batch response can carry.  The
-                # reason stays machine-readable: errors.StoreError's code
-                # plus the numeric wire code.
-                item = PutResponse(
-                    accepted=False, reason=f"store_error:{item.code}"
-                )
-            if pending.emitted or i in pending.primary_seen:
-                self._count_replica_ack(item)
-                continue
-            if pending.primaries[i] == shard:
-                if i in pending.verdicts:
-                    self._count_replica_ack(pending.verdicts[i])
-                pending.verdicts[i] = item
-                pending.primary_seen.add(i)
-            elif i in pending.verdicts:
-                self._count_replica_ack(item)
-            else:
-                pending.verdicts[i] = item
+                verdicts = [
+                    self._put_verdict(owners, answer)
+                    for owners, answer in zip(pending.owners, pending.answers)
+                ]
+                out.append(_oneway_reply(verdicts, router_id))
+            if not pending.outstanding:
+                del self._batches[router_id]
+        return out
 
     # -- observability ---------------------------------------------------------
     def snapshot(self) -> dict:
@@ -1192,3 +779,38 @@ class ClusterRouter:
             snap[f"router.breaker.{shard}.opens"] = breaker.opens
             snap[f"router.breaker.{shard}.skips"] = breaker.skips
         return snap
+
+def _check_get(shard: str, response: Message) -> None:
+    if not isinstance(response, GetResponse):
+        raise ProtocolError(
+            f"shard {shard!r} answered GET with {type(response).__name__}"
+        )
+
+
+def _ack_items(response: Message, n_items: int) -> list[Message]:
+    """Per-item verdicts carried by one shard's one-way ack; empty when
+    malformed (those copies stay unacknowledged)."""
+    if isinstance(response, BatchPutResponse):
+        items: list[Message] = list(response.items)
+    elif isinstance(response, (PutResponse, ErrorMessage)):
+        items = [response]
+    else:
+        return []
+    return items if len(items) == n_items else []
+
+
+def _oneway_reply(verdicts: list[Message], router_id: int) -> Message:
+    """A one-item batch is answered with its plain verdict.  A larger one
+    gets a merged BatchPutResponse; a per-shard store error becomes a
+    rejection whose reason stays machine-readable (errors.StoreError's
+    code plus the numeric wire code)."""
+    if len(verdicts) == 1:
+        return with_request_id(verdicts[0], router_id)
+    return BatchPutResponse(
+        items=tuple(
+            PutResponse(accepted=False, reason=f"store_error:{v.code}")
+            if isinstance(v, ErrorMessage) else v
+            for v in verdicts
+        ),
+        request_id=router_id,
+    )

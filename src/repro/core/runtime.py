@@ -942,10 +942,7 @@ class DedupRuntime:
         return len(batch)
 
     def _send_put_batch_oneway(self, batch: list[PutRequest]) -> None:
-        if len(batch) == 1:
-            request_id = self.client.send_oneway(batch[0])
-        else:
-            request_id = self.client.send_oneway_batch(batch)
+        request_id = self.client.send_oneway_batch(batch)
         self._inflight_puts[request_id] = len(batch)
         self._inflight_put_tags[request_id] = tuple(p.tag for p in batch)
         self.stats.puts_sent += len(batch)

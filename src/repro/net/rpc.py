@@ -9,19 +9,23 @@ draining its socket.
 All payloads crossing this layer are channel *records* — the plaintext
 messages only ever exist inside the two enclaves.
 
+One core: every request whose reply is waited on is a :meth:`RpcClient.submit`
+settled by :meth:`RpcClient.wait`.  ``call`` is submit + wait of one
+message; ``call_batch`` and ``submit_gets``/``wait_gets`` (and the PUT
+pair) ship a uniform group as one ``BATCH_*`` message, so the whole
+group costs one channel record (one AEAD seal/open per direction) and
+one server-side ECALL instead of N of each.  A one-item group travels
+as the plain GET/PUT.  Fire-and-forget PUTs take ``send_oneway_batch``
+(``send_oneway`` is a batch of one) and come back via
+:meth:`RpcClient.drain_responses`.
+
 Correlation: every outgoing request carries a client-assigned
-``request_id`` which the server echoes.  A synchronous :meth:`RpcClient.call`
-therefore always receives *its own* response even when replies to earlier
-one-way sends are still sitting in the inbox — those are buffered and
-handed out by :meth:`RpcClient.drain_responses` instead of being
-mis-delivered to the next caller.
+``request_id`` which the server echoes.  A waiter therefore always
+receives *its own* response even when replies to earlier one-way sends
+are still sitting in the inbox — those are buffered and handed out by
+``drain_responses`` instead of being mis-delivered to the next caller.
 
-Batching: :meth:`RpcClient.call_batch` ships a uniform list of GET or PUT
-requests as one ``BATCH_*`` message, so the whole batch costs one channel
-record (one AEAD seal/open per direction) and one server-side ECALL
-instead of N of each.
-
-Fault tolerance: an optional :class:`RetryPolicy` makes :meth:`RpcClient.call`
+Fault tolerance: an optional :class:`RetryPolicy` makes :meth:`RpcClient.wait`
 retry transient failures with exponential backoff (charged to the
 SimClock) and *deterministic* jitter.  Retries reuse the original
 correlation id, so a retried PUT whose first copy actually arrived is a
@@ -59,7 +63,7 @@ from ..obs.tracer import NULL_TRACER
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Backoff schedule for synchronous calls.
+    """Backoff schedule for waited-on requests.
 
     ``max_attempts=1`` (the default) disables retries entirely, keeping
     the historical fail-fast behaviour.  The delay before attempt ``k``
@@ -140,7 +144,13 @@ class RpcServer:
 
 
 class RpcClient:
-    """Synchronous caller; also supports fire-and-forget sends."""
+    """One connection to one store server.
+
+    :meth:`submit` and :meth:`wait` are the only request path for
+    replies that are waited on; :meth:`call`, :meth:`call_batch` and the
+    grouped ``submit_*``/``wait_*`` pairs compose them.  Fire-and-forget
+    PUTs go out through :meth:`send_oneway_batch`.
+    """
 
     def __init__(
         self,
@@ -158,8 +168,8 @@ class RpcClient:
         self.tracer = NULL_TRACER if tracer is None else tracer
         self.clock = clock
         self.retry_policy = retry_policy
-        # Responses addressed to one-way sends that arrived while a sync
-        # call was scanning the inbox; surfaced by drain_responses().
+        # Responses addressed to one-way sends that arrived while a waiter
+        # was scanning the inbox; surfaced by drain_responses().
         self._stray_responses: list[Message] = []
         self._stray_ids: set[int] = set()
         # Correlation ids already answered: a later response with the same
@@ -205,48 +215,14 @@ class RpcClient:
         return decode_message(self._channel.unprotect(record))
 
     def call(self, request: Message) -> Message:
-        """Send a request and block on the *matching* response.
-
-        Responses carrying other correlation ids (replies to earlier
-        one-way sends) are buffered for :meth:`drain_responses` rather
-        than returned here.  An uncorrelated ``ErrorMessage`` (the server
-        could not even parse the offending request, so it could not echo
-        an id) is surfaced to this caller.
-
-        With a :class:`RetryPolicy` attached, transient failures (no
-        response, and optionally server errors) are retried under the
-        *same* correlation id after a backoff charged to the SimClock —
-        a retried PUT whose first copy landed is deduplicated store-side.
-        """
+        """Send a request and block on the *matching* response: one
+        :meth:`submit` settled by :meth:`wait`, so it shares their
+        correlation, stray-buffering and retry rules."""
         with self.tracer.span(
             "rpc.call", clock=self.clock,
             message=type(request).__name__, server=self._server_address,
         ):
-            request_id = self._fresh_request_id()
-            request = with_request_id(request, request_id)
-            policy = self.retry_policy
-            attempts = max(1, policy.max_attempts) if policy is not None else 1
-            last_error: Exception | None = None
-            for attempt in range(attempts):
-                if attempt:
-                    self.retries += 1
-                    self._charge_backoff(policy, attempt - 1, request_id)
-                try:
-                    self._send(request)
-                    return self._await_response(request_id)
-                except TransportError as exc:
-                    last_error = exc
-                except ProtocolError as exc:
-                    if policy is None or not policy.retry_protocol_errors:
-                        raise
-                    last_error = exc
-            assert last_error is not None
-            if attempts > 1:
-                raise RetryExhaustedError(
-                    f"request {request_id} to {self._server_address!r} failed "
-                    f"after {attempts} attempts: {last_error}"
-                ) from last_error
-            raise last_error
+            return self.wait(self.submit(request))
 
     def _charge_backoff(self, policy: RetryPolicy, retry_index: int, request_id: int) -> None:
         salt = self._server_address.encode() + request_id.to_bytes(8, "big")
@@ -305,8 +281,7 @@ class RpcClient:
         at once (correlation ids keep their responses apart); each is
         settled by :meth:`wait`.  A send that fails outright is deferred:
         :meth:`wait` resends it under the same correlation id via the
-        retry policy, preserving the idempotency guarantees of
-        :meth:`call`.
+        retry policy.
         """
         with self.tracer.span(
             "rpc.submit", clock=self.clock,
@@ -327,11 +302,18 @@ class RpcClient:
     def wait(self, request_id: int) -> Message:
         """Block on the response to a :meth:`submit`-ted request.
 
-        Applies the same retry/backoff schedule as :meth:`call`, reusing
-        the original correlation id so a retried request whose first copy
-        landed is deduplicated server-side.  Responses that arrived while
-        other slots were being waited on are delivered from the parked
-        set without touching the wire.
+        Responses carrying other correlation ids are parked for their
+        own waiters or buffered for :meth:`drain_responses`; responses
+        that arrived while other slots were being waited on are
+        delivered from the parked set without touching the wire.  An
+        uncorrelated ``ErrorMessage`` (the server could not even parse
+        the offending request, so it could not echo an id) is surfaced
+        to this waiter.
+
+        With a :class:`RetryPolicy` attached, transient failures (no
+        response, and optionally server errors) are retried under the
+        *same* correlation id after a backoff charged to the SimClock —
+        a retried PUT whose first copy landed is deduplicated store-side.
         """
         request = self._pipeline.get(request_id)
         if request is None:
@@ -386,131 +368,98 @@ class RpcClient:
         return self._await_response(request_id)
 
     # -- grouped pipelining (one record per submitted group) -----------------
-    def plan_gets(self, requests: Sequence[GetRequest]) -> list[list[int]]:
-        """Partition GET indices into groups that can share one wire
+    def plan_gets(self, requests: Sequence[Message]) -> list[list[int]]:
+        """Partition request indices into groups that can share one wire
         record.  One server, one connection: everything is one group."""
         return [list(range(len(requests)))] if requests else []
+
+    plan_puts = plan_gets
 
     def submit_gets(self, requests: Sequence[GetRequest]) -> int:
         """Submit a GET group as a single channel record without waiting.
 
-        The group costs one AEAD seal (and one server ECALL) like
-        :meth:`call_batch`, but the slot is settled later by
-        :meth:`wait_gets` — so several groups, e.g. one per shard, can be
-        in flight at once.
+        The group costs one AEAD seal (and one server ECALL), and the
+        slot is settled later by :meth:`wait_gets` — so several groups,
+        e.g. one per shard, can be in flight at once.  A one-item group
+        travels as the plain GET.
         """
-        requests = list(requests)
-        if len(requests) == 1:
-            return self.submit(requests[0])
-        return self.submit(BatchGetRequest(items=tuple(requests)))
+        return self._submit_group(requests, BatchGetRequest)
 
     def wait_gets(self, handle: int, n_items: int) -> list[Message]:
         """Settle a :meth:`submit_gets` slot into per-item responses."""
-        response = self.wait(handle)
-        if n_items == 1:
-            items = [response]
-        elif isinstance(response, BatchGetResponse):
-            items = list(response.items)
-        else:
-            raise ProtocolError(
-                f"store answered batch GET with {type(response).__name__}"
-            )
-        if len(items) != n_items:
-            raise ProtocolError(
-                f"batch GET response has {len(items)} items, expected {n_items}"
-            )
-        return items
-
-    def plan_puts(self, requests: Sequence[PutRequest]) -> list[list[int]]:
-        """Partition PUT indices into groups that can share one wire
-        record.  One server, one connection: everything is one group."""
-        return [list(range(len(requests)))] if requests else []
+        return self._wait_group(handle, n_items, BatchGetResponse)
 
     def submit_puts(self, requests: Sequence[PutRequest]) -> int:
         """Submit a PUT group as a single channel record without waiting
         (the PUT twin of :meth:`submit_gets`)."""
-        requests = list(requests)
-        if len(requests) == 1:
-            return self.submit(requests[0])
-        return self.submit(BatchPutRequest(items=tuple(requests)))
+        return self._submit_group(requests, BatchPutRequest)
 
     def wait_puts(self, handle: int, n_items: int) -> list[Message]:
         """Settle a :meth:`submit_puts` slot into per-item verdicts."""
+        return self._wait_group(handle, n_items, BatchPutResponse)
+
+    def _submit_group(self, requests: Sequence[Message], batch_type: type) -> int:
+        return self.submit(_group_message(list(requests), batch_type))
+
+    def _wait_group(self, handle: int, n_items: int, batch_type: type) -> list[Message]:
         response = self.wait(handle)
         if n_items == 1:
             items = [response]
-        elif isinstance(response, BatchPutResponse):
+        elif isinstance(response, batch_type):
             items = list(response.items)
         else:
             raise ProtocolError(
-                f"store answered batch PUT with {type(response).__name__}"
+                f"store answered a {n_items}-item group with {type(response).__name__}"
             )
         if len(items) != n_items:
             raise ProtocolError(
-                f"batch PUT response has {len(items)} items, expected {n_items}"
+                f"group response has {len(items)} items, expected {n_items}"
             )
         return items
 
     def call_batch(self, requests: Sequence[Message]) -> list[Message]:
-        """Issue a uniform batch of GETs or PUTs under one channel record.
+        """Issue a uniform batch of GETs or PUTs as one group and block on
+        the per-item responses, in request order.
 
-        Returns the per-item responses in request order.  The batch is
-        protected as a single record, so the AEAD and sequencing costs of
-        the secure channel — and the store's ECALL — are paid once for
-        the whole batch instead of once per item.
+        The batch is protected as a single record, so the AEAD and
+        sequencing costs of the secure channel — and the store's ECALL —
+        are paid once for the whole batch instead of once per item.
         """
         requests = list(requests)
         if not requests:
             return []
         if all(isinstance(r, GetRequest) for r in requests):
-            batch: Message = BatchGetRequest(items=tuple(requests))
-            expected: type = BatchGetResponse
-        elif all(isinstance(r, PutRequest) for r in requests):
-            batch = BatchPutRequest(items=tuple(requests))
-            expected = BatchPutResponse
-        else:
-            raise ProtocolError("call_batch needs a uniform list of GETs or PUTs")
-        response = self.call(batch)
-        if not isinstance(response, expected):
-            raise ProtocolError(
-                f"store answered batch with {type(response).__name__}"
-            )
-        if len(response.items) != len(requests):
-            raise ProtocolError(
-                f"batch response has {len(response.items)} items, "
-                f"expected {len(requests)}"
-            )
-        return list(response.items)
+            return self.wait_gets(self.submit_gets(requests), len(requests))
+        if all(isinstance(r, PutRequest) for r in requests):
+            return self.wait_puts(self.submit_puts(requests), len(requests))
+        raise ProtocolError("call_batch needs a uniform list of GETs or PUTs")
 
+    # -- fire-and-forget -----------------------------------------------------
     def send_oneway(self, request: Message) -> int:
-        """Fire-and-forget (used by the asynchronous PUT path); returns the
-        assigned correlation id so the caller can match the eventual
-        response from :meth:`drain_responses`."""
-        with self.tracer.span(
-            "rpc.send", clock=self.clock,
-            message=type(request).__name__, server=self._server_address,
-        ):
-            request_id = self._fresh_request_id()
-            self._send(with_request_id(request, request_id))
-            return request_id
+        """Fire-and-forget one request: a batch of one."""
+        return self.send_oneway_batch([request])
 
-    def send_oneway_batch(self, requests: Sequence[PutRequest]) -> int:
-        """Fire-and-forget an entire PUT batch as one channel record."""
+    def send_oneway_batch(self, requests: Sequence[Message]) -> int:
+        """Fire-and-forget PUTs as one channel record (a one-item batch
+        travels as the plain PUT); returns the correlation id that tags
+        the eventual response from :meth:`drain_responses`."""
+        requests = list(requests)
+        message = _group_message(requests, BatchPutRequest)
         with self.tracer.span(
-            "rpc.send", clock=self.clock,
-            message="BatchPutRequest", server=self._server_address, items=len(requests),
+            "rpc.send", clock=self.clock, message=type(message).__name__,
+            server=self._server_address, items=len(requests),
         ):
             request_id = self._fresh_request_id()
-            self._send(with_request_id(BatchPutRequest(items=tuple(requests)), request_id))
+            self._send(with_request_id(message, request_id))
             return request_id
 
     def drain_responses(self) -> list[Message]:
         """Collect any responses to one-way sends (off the critical path).
 
-        Includes responses that a synchronous :meth:`call` encountered and
-        set aside while scanning for its own reply.  Undecryptable records
+        Includes responses that a waiter encountered and set aside while
+        scanning for its own reply.  Undecryptable records
         and responses whose correlation id was already delivered are
-        counted and dropped, exactly as in :meth:`call` — an id is handed
+        counted and dropped, exactly as in :meth:`wait` — an id is handed
         out at most once.
         """
         pending: list[Message] = self._stray_responses
@@ -548,6 +497,14 @@ class RpcClient:
             "rpc.pipelined_submits": self.submits,
             "rpc.pipeline_max_inflight": self.max_inflight,
         }
+
+
+def _group_message(requests: list[Message], batch_type: type) -> Message:
+    """The wire message for a group: a one-item group travels as the
+    plain GET/PUT, a larger one as a single ``BATCH_*`` message."""
+    if len(requests) == 1:
+        return requests[0]
+    return batch_type(items=tuple(requests))
 
 
 def attach_reactor(network, address: str, server: RpcServer) -> None:

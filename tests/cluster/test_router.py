@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro import RuntimeConfig, connect
 from repro.cluster.router import NO_LIVE_OWNER
 from repro.errors import ProtocolError, TransportError
 from repro.net.messages import BatchPutResponse, GetResponse, PutResponse
+from repro.store.quota import QuotaPolicy
+from repro.store.resultstore import StoreConfig
 
 from tests.cluster.conftest import (
     make_cluster,
@@ -273,3 +276,123 @@ class TestTopology:
         shard = router.shard_ids[0]
         with pytest.raises(ProtocolError):
             router.attach_shard(shard, object())
+
+
+class TestOnewayStateIsReleased:
+    """A one-way batch's merge state lives only until every shard it was
+    sent to has answered or been detached."""
+
+    @staticmethod
+    def session_with_batches(seed):
+        session = connect(
+            shards=4, replication_factor=2, seed=seed, tracing=False,
+            runtime_config=RuntimeConfig(put_queue_entries=8, put_flush_batch=8),
+        )
+        session.enable_pipeline(depth=8)
+
+        @session.mark(version="1.0")
+        def leak_kernel(data: bytes) -> bytes:
+            return data[::-1]
+
+        def run(first, n_batches):
+            for b in range(first, first + n_batches):
+                leak_kernel.map([(b * 16 + i).to_bytes(4, "big") * 4
+                                 for i in range(16)])
+        return session, session.runtime.client, run
+
+    def test_table_empty_after_flush_on_a_healthy_cluster(self):
+        session, router, run = self.session_with_batches(b"oneway-leak")
+        run(0, 40)
+        session.flush_puts()
+        assert router._batches == {} and router._batch_by_key == {}
+        # Every replica ack was counted before its batch was dropped.
+        stats = router.stats
+        assert stats.replica_put_acks + stats.replica_put_rejects == stats.replica_puts
+        assert session.runtime.puts_unacknowledged == 0
+
+    def test_late_replica_acks_are_counted_then_the_entry_drops(self, cluster4):
+        router = raw_router(cluster4)
+        owners_of = cluster4.cluster.owners_of
+        first = make_put(0, prefix=b"late")
+        primary, replica = owners_of(first.tag)
+        puts = [p for p in (make_put(i, prefix=b"late") for i in range(200))
+                if owners_of(p.tag) == [primary, replica]][:3]
+        assert len(puts) == 3
+        replica_client = router._clients[replica]
+        # The replica's acks arrive only after the batch was emitted.
+        held = []
+        drain = replica_client.drain_responses
+        replica_client.drain_responses = lambda: held.extend(drain()) or []
+        router_id = router.send_oneway_batch(puts)
+        (reply,) = router.drain_responses()  # the primary's acks decide
+        assert reply.request_id == router_id and all(i.accepted for i in reply.items)
+        assert router.stats.replica_put_acks == 0 and router._batches
+        replica_client.drain_responses = lambda: held
+        assert router.drain_responses() == []  # nothing emitted twice
+        assert router.stats.replica_put_acks == len(puts)
+        assert router._batches == {} and router._batch_by_key == {}
+
+    def test_table_empty_after_a_shard_dies_and_is_detached(self):
+        session, router, run = self.session_with_batches(b"oneway-leak-kill")
+        run(0, 10)
+        victim = router.shard_ids[0]
+        session.kill_shard(victim)
+        run(10, 10)  # copies sent to the dead shard are never acked
+        assert router._batches  # waiting on the dead shard
+        router.detach_shard(victim)
+        session.flush_puts()
+        assert router._batches == {} and router._batch_by_key == {}
+
+
+class TestReplicatedPutAuthority:
+    """RF 3 with the primary down: the first live replica in *ring* order
+    is authoritative on every PUT path, even where a lower-id replica
+    answers differently (here: its per-app quota is full)."""
+
+    @staticmethod
+    def build():
+        d = make_cluster(
+            n_shards=4, replication_factor=3, seed=b"put-authority",
+            store_config=StoreConfig(quota=QuotaPolicy(max_entries_per_app=1)),
+        )
+        owners_of = d.cluster.owners_of
+        target = next(
+            p for p in (make_put(i, prefix=b"auth") for i in range(1000))
+            if owners_of(p.tag)[2] < owners_of(p.tag)[1]
+        )
+        primary, ring_first, lowest_id = owners_of(target.tag)
+        filler = next(
+            p for p in (make_put(i, prefix=b"fill") for i in range(1000))
+            if ring_first not in owners_of(p.tag)
+        )
+        router = raw_router(d)
+        assert router.call(filler).accepted  # fills lowest_id's quota
+        d.cluster.kill_shard(primary)
+        return router, target
+
+    def test_ring_first_live_replica_decides(self):
+        def oneway(router, puts):
+            rid = router.send_oneway_batch(puts)
+            (reply,) = router.drain_responses()
+            assert reply.request_id == rid
+            return reply.items if len(puts) > 1 else [reply]
+
+        def submit_wait(router, puts):
+            return [router.wait(router.submit(p)) for p in puts]
+
+        def grouped(router, puts):
+            return router.wait_puts(router.submit_puts(puts), len(puts))
+
+        paths = (lambda r, ps: [r.call(p) for p in ps],
+                 lambda r, ps: r.call_batch(ps), submit_wait, grouped, oneway)
+        for path in paths:
+            for n_items in (1, 2):
+                router, target = self.build()
+                rejects0 = router.stats.replica_put_rejects
+                verdicts = path(router, [target] * n_items)
+                assert len(verdicts) == n_items
+                for verdict in verdicts:
+                    assert isinstance(verdict, PutResponse)
+                    assert verdict.accepted, verdict.reason
+                # The full lowest-id replica's "no" is a replica verdict.
+                assert router.stats.replica_put_rejects == rejects0 + n_items

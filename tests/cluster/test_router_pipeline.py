@@ -218,13 +218,19 @@ class TestGroupedPutPipeline:
     def test_wait_and_wait_gets_refuse_each_others_slots(self):
         d = make_cluster()
         router = raw_router(d)
-        puts = warm(router, 2)
-        group_handle = router.submit_gets([make_get(puts[0])])
-        call_handle = router.submit(make_get(puts[1]))
+        puts = warm(router, 3)
+        # submit() of one request is a one-item group, so wait() settles
+        # exactly the slots that hold one item...
+        group_handle = router.submit_gets([make_get(p) for p in puts[:2]])
+        put_handle = router.submit(make_put(99, prefix=b"slot-kind"))
         with pytest.raises(ProtocolError):
             router.wait(group_handle)
+        # ...and the GET and PUT waiters refuse each other's slots.
         with pytest.raises(ProtocolError):
-            router.wait_gets(call_handle)
-        # Both slots survived the type mismatch and still settle.
-        assert router.wait_gets(group_handle, 1)[0].found
-        assert router.wait(call_handle).found
+            router.wait_gets(put_handle)
+        with pytest.raises(ProtocolError):
+            router.wait_puts(group_handle)
+        # Both slots survived the mismatches and still settle.
+        assert all(r.found for r in router.wait_gets(group_handle, 2))
+        assert router.wait(put_handle).accepted
+        assert router.wait_gets(router.submit(make_get(puts[2])), 1)[0].found

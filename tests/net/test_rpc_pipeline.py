@@ -126,6 +126,24 @@ class TestGroupedGets:
         responses = client.wait_gets(handle, 1)
         assert responses[0].sealed_result == b"res:" + b"\x0a" * 32
 
+    def test_every_one_item_group_travels_as_the_plain_message(self):
+        def plain_only(msg):
+            assert isinstance(msg, (GetRequest, PutRequest)), type(msg).__name__
+            if isinstance(msg, PutRequest):
+                return PutResponse(accepted=True)
+            return echo_handler(msg)
+
+        client, server = make_rpc(plain_only)
+        get = GetRequest(tag=b"\x0b" * 32)
+        put = PutRequest(tag=b"\x0c" * 32, challenge=b"r" * 32,
+                         wrapped_key=b"k" * 16, sealed_result=b"s")
+        assert client.call_batch([get])[0].sealed_result == b"res:" + get.tag
+        assert client.call_batch([put])[0].accepted
+        rid = client.send_oneway_batch([put])
+        (ack,) = client.drain_responses()
+        assert isinstance(ack, PutResponse) and ack.request_id == rid
+        assert server.requests_served == 3
+
     def test_item_count_mismatch_raises(self):
         client, _ = make_rpc(batch_echo_handler)
         tags = [bytes([i]) * 32 for i in range(3)]

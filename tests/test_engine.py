@@ -32,7 +32,8 @@ class FakeClock:
 
 
 class FakeClient:
-    """submit()/wait() peer with deterministic per-op costs.
+    """Grouped-surface peer that plans one group per request, so every
+    round is per-op: deterministic per-op costs.
 
     ``shard_of`` maps a request tag to the shard clock that serves it
     (defaults to the single shard).  Costs: submit charges the app clock
@@ -71,6 +72,22 @@ class FakeClient:
         self.shard_clocks[self.shard_of(request.tag)].advance(self.serve_cost)
         self.app_clock.advance(self.wait_cost)
         return ("response", request.tag)
+
+    # -- the grouped surface: one group per request ------------------------
+    def plan_gets(self, requests):
+        return [[i] for i in range(len(requests))]
+
+    def submit_gets(self, requests):
+        (request,) = requests
+        return self.submit(request)
+
+    def wait_gets(self, handle, n_items):
+        assert n_items == 1
+        return [self.wait(handle)]
+
+    plan_puts = plan_gets
+    submit_puts = submit_gets
+    wait_puts = wait_gets
 
 
 class GroupedFakeClient(FakeClient):
@@ -327,12 +344,6 @@ class TestGroupedPutRounds:
         batch = engine.run_puts([putreq(b"a"), putreq(b"b")])
         assert all(isinstance(r, ChannelError) for r in batch.responses)
         assert engine.failures == 2
-
-    def test_plain_client_still_takes_the_per_op_path(self):
-        engine, client, _, _ = make_engine(n_shards=1, depth=8)
-        batch = engine.run_puts([putreq(b"a"), putreq(b"b")])
-        assert len(client.submitted) == 2  # per-op submit(), no grouping
-        assert len(batch.responses) == 2
 
 
 class TestBackground:
