@@ -1,9 +1,13 @@
-"""AES-128 counter mode, vectorised over whole messages.
+"""AES-128 counter mode: one keystream batch per message.
 
 CTR is the confidentiality half of GCM.  The keystream is produced by
-encrypting a run of counter blocks in one numpy batch, which is what makes
-the megabyte-scale result ciphertexts of the paper's Fig. 6 sweep feasible
-in pure Python.
+encrypting a run of counter blocks in one :meth:`AES128.encrypt_blocks`
+call, which picks the pure-Python block function for short runs and the
+numpy T-table rounds for long ones, so the megabyte-scale result
+ciphertexts of the paper's Fig. 6 sweep stay feasible in pure Python.
+GCM builds its counters with the same :func:`_counter_blocks`, prefixed
+by J0 so the tag mask comes out of the same batch, and applies the
+keystream with the same :func:`xor_keystream`.
 """
 
 from __future__ import annotations
@@ -18,17 +22,17 @@ def _counter_blocks(initial: bytes, count: int) -> np.ndarray:
     """Build ``count`` counter blocks with GCM's inc32 on the last 4 bytes."""
     if len(initial) != BLOCK_SIZE:
         raise CryptoError("initial counter block must be 16 bytes")
-    prefix = np.frombuffer(initial[:12], dtype=np.uint8)
-    start = int.from_bytes(initial[12:], "big")
-    counters = (start + np.arange(count, dtype=np.uint64)) % (1 << 32)
-    blocks = np.empty((count, BLOCK_SIZE), dtype=np.uint8)
-    blocks[:, :12] = prefix
-    # Big-endian 32-bit counter in the last four bytes.
-    blocks[:, 12] = (counters >> 24).astype(np.uint8)
-    blocks[:, 13] = (counters >> 16).astype(np.uint8)
-    blocks[:, 14] = (counters >> 8).astype(np.uint8)
-    blocks[:, 15] = counters.astype(np.uint8)
-    return blocks
+    # Each block as four big-endian words; uint32 addition wraps the last
+    # word mod 2^32, which is exactly inc32.
+    words = np.frombuffer(bytes(initial) * count, dtype=">u4").reshape(count, 4).copy()
+    words[:, 3] += np.arange(count, dtype=np.uint32)
+    return words.view(np.uint8)
+
+
+def xor_keystream(data: bytes, keystream: np.ndarray) -> bytes:
+    """XOR ``data`` with the leading bytes of an (N, 16) keystream."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    return (buf ^ keystream.reshape(-1)[: len(data)]).tobytes()
 
 
 def ctr_transform(cipher: AES128, initial_counter: bytes, data: bytes) -> bytes:
@@ -37,6 +41,4 @@ def ctr_transform(cipher: AES128, initial_counter: bytes, data: bytes) -> bytes:
         return b""
     n_blocks = (len(data) + BLOCK_SIZE - 1) // BLOCK_SIZE
     keystream = cipher.encrypt_blocks(_counter_blocks(initial_counter, n_blocks))
-    ks = keystream.reshape(-1)[: len(data)]
-    buf = np.frombuffer(data, dtype=np.uint8)
-    return (buf ^ ks).tobytes()
+    return xor_keystream(data, keystream)

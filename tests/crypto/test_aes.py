@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES128, SBOX, INV_SBOX
+from repro.crypto.aes import AES128, SBOX, INV_SBOX, _NUMPY_MIN_BLOCKS
 from repro.errors import CryptoError
 
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -53,6 +53,21 @@ class TestRoundtrip:
         batch = cipher.encrypt_blocks(blocks)
         for i in range(len(blocks)):
             assert batch[i].tobytes() == cipher.encrypt_block(blocks[i].tobytes())
+
+    @pytest.mark.parametrize("n", [*range(1, _NUMPY_MIN_BLOCKS + 3), 64, 600])
+    @given(key=st.binary(min_size=16, max_size=16), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, deadline=None)
+    def test_batch_paths_match_per_block(self, n, key, seed):
+        # Below _NUMPY_MIN_BLOCKS the batch runs the pure-Python block
+        # function, from it on the numpy rounds; both must agree with
+        # encrypt_block block by block.
+        blocks = np.random.default_rng(seed).integers(0, 256, (n, 16)).astype(np.uint8)
+        cipher = AES128(key)
+        batch = cipher.encrypt_blocks(blocks)
+        assert batch.shape == (n, 16) and batch.dtype == np.uint8
+        assert batch.tobytes() == b"".join(
+            cipher.encrypt_block(block.tobytes()) for block in blocks
+        )
 
     def test_vectorised_decrypt_matches(self):
         rng = np.random.default_rng(1)

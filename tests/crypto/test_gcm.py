@@ -4,8 +4,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.aes import AES128
 from repro.crypto.gcm import AesGcm, gf_mult, open_, seal, _build_ghash_table
 from repro.errors import CryptoError, IntegrityError
+
+# McGrew-Viega GCM test cases 3-6 share this key, plaintext and AAD.
+CASE_KEY = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
+CASE_PT = bytes.fromhex(
+    "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+    "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
+)
+CASE_AAD = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+CASE3_CT = (
+    "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+    "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
+)
+
+
+def _ghash_reference(h: int, aad: bytes, ciphertext: bytes) -> int:
+    """GHASH by the bitwise NIST multiplication, one block at a time."""
+    def blocks(data):
+        data += bytes(-len(data) % 16)
+        return [int.from_bytes(data[i:i + 16], "big") for i in range(0, len(data), 16)]
+
+    lengths = ((len(aad) * 8) << 64) | (len(ciphertext) * 8)
+    y = 0
+    for x in blocks(aad) + blocks(ciphertext) + [lengths]:
+        y = gf_mult(y ^ x, h)
+    return y
 
 
 class TestNistVectors:
@@ -18,23 +44,91 @@ class TestNistVectors:
         assert ct.hex() == "0388dace60b6a392f328c2b971b2fe78"
         assert tag.hex() == "ab6e47d42cec13bdf53a67b21257bddf"
 
+    def test_case3_four_blocks(self):
+        ct, tag = AesGcm(CASE_KEY).encrypt(bytes.fromhex("cafebabefacedbaddecaf888"), CASE_PT)
+        assert ct.hex() == CASE3_CT
+        assert tag.hex() == "4d5c2af327cd64a62cf35abd2ba6fab4"
+
     def test_case4_with_aad(self):
-        key = bytes.fromhex("feffe9928665731c6d6a8f9467308308")
+        key = CASE_KEY
         iv = bytes.fromhex("cafebabefacedbaddecaf888")
-        pt = bytes.fromhex(
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-            "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
-        )
-        aad = bytes.fromhex("feedfacedeadbeeffeedfacedeadbeefabaddad2")
+        pt = CASE_PT[:60]
+        aad = CASE_AAD
         ct, tag = AesGcm(key).encrypt(iv, pt, aad)
+        assert ct.hex() == CASE3_CT[:120]
         assert tag.hex() == "5bc94fbc3221a5db94fae95ae7121a47"
         assert AesGcm(key).decrypt(iv, ct, tag, aad) == pt
+
+    @pytest.mark.parametrize("iv_hex, ct_hex, tag_hex", [
+        # Case 5: 8-byte IV.
+        ("cafebabefacedbad",
+         "61353b4c2806934a777ff51fa22a4755699b2a714fcdc6f83766e5f97b6c7423"
+         "73806900e49f24b22b097544d4896b424989b5e1ebac0f07c23f4598",
+         "3612d2e79e3b0785561be14aaca2fccb"),
+        # Case 6: 60-byte IV.
+        ("9313225df88406e555909c5aff5269aa6a7a9538534f7da1e4c303d2a318a728"
+         "c3c0c95156809539fcf0e2429a6b525416aedbf5a0de6a57a637b39b",
+         "8ce24998625615b603a033aca13fb894be9112a5c3a211a8ba262a3cca7e2ca7"
+         "01e4a9a4fba43c90ccdcb281d48c7c6fd62875d2aca417034c34aee5",
+         "619cc5aefffe0bfa462af43c1699d050"),
+    ])
+    def test_cases5_6_ghash_derived_j0(self, iv_hex, ct_hex, tag_hex):
+        # Non-12-byte IVs derive J0 through GHASH; the keystream batch
+        # must start its counters from that J0.
+        iv = bytes.fromhex(iv_hex)
+        ct, tag = AesGcm(CASE_KEY).encrypt(iv, CASE_PT[:60], CASE_AAD)
+        assert ct.hex() == ct_hex
+        assert tag.hex() == tag_hex
+        assert AesGcm(CASE_KEY).decrypt(iv, ct, tag, CASE_AAD) == CASE_PT[:60]
 
     def test_long_iv_path(self):
         # Non-12-byte IVs go through the GHASH J0 derivation.
         g = AesGcm(b"\x01" * 16)
         ct, tag = g.encrypt(b"\x02" * 20, b"payload")
         assert g.decrypt(b"\x02" * 20, ct, tag) == b"payload"
+
+
+class TestFoldedKeystream:
+    def test_j0_counter_wrap_matches_unfolded_reference(self, monkeypatch):
+        # J0's counter field at 0xFFFFFFFF: the tag mask is E(K, J0) and
+        # the CTR keystream starts at inc32(J0), which wraps to zero.
+        key = b"\x5a" * 16
+        j0 = bytes.fromhex("00112233445566778899aabb") + b"\xff\xff\xff\xff"
+        pt, aad = bytes(range(100)), b"header"
+        cipher = AesGcm(key)
+        monkeypatch.setattr(cipher, "_j0", lambda iv: j0)
+        ct, tag = cipher.encrypt(b"iv", pt, aad)
+
+        aes = AES128(key)
+        keystream = b"".join(
+            aes.encrypt_block(j0[:12] + ((0xFFFFFFFF + 1 + i) % (1 << 32)).to_bytes(4, "big"))
+            for i in range(7)
+        )
+        assert ct == bytes(a ^ b for a, b in zip(pt, keystream))
+        h = int.from_bytes(aes.encrypt_block(bytes(16)), "big")
+        mask = int.from_bytes(aes.encrypt_block(j0), "big")
+        assert tag == (_ghash_reference(h, aad, ct) ^ mask).to_bytes(16, "big")
+        assert cipher.decrypt(b"iv", ct, tag, aad) == pt
+
+    @pytest.mark.parametrize("size", [0, 60, 200, 8192])
+    def test_one_aes_call_per_record(self, monkeypatch, size):
+        cipher = AesGcm(b"\x0f" * 16)
+        calls = []
+        batch = AES128.encrypt_blocks
+
+        def counting(self, blocks):
+            calls.append(len(blocks))
+            return batch(self, blocks)
+
+        def forbidden(self, block):
+            raise AssertionError("record path called encrypt_block")
+
+        monkeypatch.setattr(AES128, "encrypt_blocks", counting)
+        monkeypatch.setattr(AES128, "encrypt_block", forbidden)
+        ct, tag = cipher.encrypt(b"\x01" * 12, bytes(size))
+        assert calls == [1 + (size + 15) // 16]
+        assert cipher.decrypt(b"\x01" * 12, ct, tag) == bytes(size)
+        assert len(calls) == 2
 
 
 class TestGhashAlgebra:

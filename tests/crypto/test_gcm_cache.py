@@ -47,6 +47,23 @@ def test_cipher_cache_is_bounded():
     assert len(gcm._CIPHER_CACHE) <= gcm._CIPHER_CACHE_MAX
 
 
+def test_cipher_cache_keeps_a_reused_key():
+    # LRU, not FIFO: a key used between runs of fresh keys survives far
+    # more than _CIPHER_CACHE_MAX inserts without a rebuild.
+    gcm._CIPHER_CACHE.clear()
+    hot = b"\x55" * 16
+    seal(hot, _iv(0), b"x")
+    before = gcm.table_builds
+    fresh = 0
+    for _ in range(4):
+        for _ in range(gcm._CIPHER_CACHE_MAX // 2):
+            fresh += 1
+            seal(fresh.to_bytes(16, "big"), _iv(fresh), b"x")
+        seal(hot, _iv(fresh), b"x")
+    assert fresh > gcm._CIPHER_CACHE_MAX
+    assert gcm.table_builds - before == fresh  # one per fresh key, none for hot
+
+
 def test_cached_seal_matches_fresh_cipher_and_rejects_tampering():
     key = b"\x33" * 16
     blob = seal(key, _iv(7), b"value", aad=b"meta")
