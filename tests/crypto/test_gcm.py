@@ -1,11 +1,17 @@
 """AES-GCM: NIST vectors, GF(2^128) algebra, tamper detection."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import gcm
 from repro.crypto.aes import AES128
-from repro.crypto.gcm import AesGcm, gf_mult, open_, seal, _build_ghash_table
+from repro.crypto.gcm import (
+    AesGcm, gf_mult, open_, seal, _build_ghash_table, _build_lane_table, _ghash, _ghash_lanes,
+)
 from repro.errors import CryptoError, IntegrityError
 
 # McGrew-Viega GCM test cases 3-6 share this key, plaintext and AAD.
@@ -21,17 +27,21 @@ CASE3_CT = (
 )
 
 
+def _horner_reference(h: int, y: int, data: bytes) -> int:
+    """Fold ``data``, zero-padded to whole blocks, into state ``y`` with the
+    bitwise NIST multiplication, one block at a time."""
+    data += bytes(-len(data) % 16)
+    for i in range(0, len(data), 16):
+        y = gf_mult(y ^ int.from_bytes(data[i:i + 16], "big"), h)
+    return y
+
+
 def _ghash_reference(h: int, aad: bytes, ciphertext: bytes) -> int:
     """GHASH by the bitwise NIST multiplication, one block at a time."""
-    def blocks(data):
-        data += bytes(-len(data) % 16)
-        return [int.from_bytes(data[i:i + 16], "big") for i in range(0, len(data), 16)]
-
-    lengths = ((len(aad) * 8) << 64) | (len(ciphertext) * 8)
-    y = 0
-    for x in blocks(aad) + blocks(ciphertext) + [lengths]:
-        y = gf_mult(y ^ x, h)
-    return y
+    lengths = (((len(aad) * 8) << 64) | (len(ciphertext) * 8)).to_bytes(16, "big")
+    y = _horner_reference(h, 0, aad)
+    y = _horner_reference(h, y, ciphertext)
+    return _horner_reference(h, y, lengths)
 
 
 class TestNistVectors:
@@ -153,6 +163,87 @@ class TestGhashAlgebra:
             for i in range(16):
                 via_table ^= table[i][(x >> (8 * (15 - i))) & 0xFF]
             assert via_table == gf_mult(x, self.H)
+
+    def test_lane_table_agrees_with_bitwise_mult_by_h64(self):
+        lane_table = _build_lane_table(_build_ghash_table(self.H), self.H)
+        h64 = self.H
+        for _ in range(63):
+            h64 = gf_mult(h64, self.H)
+        for x in (1, 0xDEADBEEF, (1 << 127) | 0xABCD, (0x77 << 120) | (0x55 << 8), (1 << 128) - 1):
+            rows = [256 * i + byte for i, byte in enumerate(x.to_bytes(16, "big"))]
+            product = np.bitwise_xor.reduce(lane_table[rows], axis=0)
+            assert int.from_bytes(product.tobytes(), "big") == gf_mult(x, h64)
+
+
+LANES = gcm._LANES
+LANE_MIN = gcm._LANE_MIN_BLOCKS
+# Block counts either side of the lane threshold and of lane multiples.
+LANE_BLOCK_COUNTS = [
+    LANE_MIN - 1, LANE_MIN, LANE_MIN + 1,
+    5 * LANES - 1, 5 * LANES + 1, 8 * LANES - 1, 8 * LANES + 1,
+]
+
+
+class TestLaneGhash:
+    CIPHER = AesGcm(CASE_KEY)
+    H = CIPHER._h
+    TABLE = _build_ghash_table(H)
+    LANE_TABLE = _build_lane_table(TABLE, H)
+
+    @given(
+        n_blocks=st.sampled_from(LANE_BLOCK_COUNTS),
+        cut=st.integers(0, 15),
+        y=st.integers(1, (1 << 128) - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lanes_match_scalar_loop(self, n_blocks, cut, y, seed):
+        # ``cut`` > 0 leaves a partial last block; the block count stays.
+        data = random.Random(seed).randbytes(16 * n_blocks - cut)
+        scalar = _ghash(self.TABLE, y, data)
+        assert _ghash_lanes(self.LANE_TABLE, self.TABLE, y, data) == scalar
+        assert self.CIPHER._hash(y, data) == scalar
+
+    @pytest.mark.parametrize("n_blocks, cut", [
+        (LANE_MIN, 0), (LANE_MIN + 1, 7), (5 * LANES - 1, 0), (1100, 3),
+    ])
+    def test_lanes_match_bitwise_reference(self, n_blocks, cut):
+        data = random.Random(n_blocks).randbytes(16 * n_blocks - cut)
+        y = 0x0123456789ABCDEF0FEDCBA987654321
+        assert _ghash_lanes(self.LANE_TABLE, self.TABLE, y, data) == _horner_reference(self.H, y, data)
+
+    def test_long_record_tag_matches_bitwise_reference(self):
+        # Both the AAD and the ciphertext take the lane path, so the
+        # ciphertext's incoming state is the AAD's hash.
+        rng = random.Random(5)
+        pt, aad = rng.randbytes(16 * 1000 + 9), rng.randbytes(16 * LANE_MIN + 4)
+        iv = bytes(range(12))
+        ct, tag = AesGcm(CASE_KEY).encrypt(iv, pt, aad)
+        aes = AES128(CASE_KEY)
+        mask = int.from_bytes(aes.encrypt_block(iv + b"\x00\x00\x00\x01"), "big")
+        assert tag == (_ghash_reference(self.H, aad, ct) ^ mask).to_bytes(16, "big")
+
+    @pytest.mark.parametrize("size", [4096 - 1, 4096, 8192, 128 * 1024 + 5])
+    def test_long_record_roundtrip_and_tamper(self, size):
+        rng = random.Random(size)
+        pt, aad = rng.randbytes(size), rng.randbytes(40)
+        iv = rng.randbytes(12)
+        ct, tag = AesGcm(CASE_KEY).encrypt(iv, pt, aad)
+        cipher = AesGcm(CASE_KEY)
+        assert cipher.decrypt(iv, ct, tag, aad) == pt
+
+        def flip(data, at):
+            return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
+
+        for bad_ct, bad_tag, bad_aad in [
+            (flip(ct, 0), tag, aad),              # first block
+            (flip(ct, size // 2), tag, aad),      # middle block
+            (flip(ct, size - 1), tag, aad),       # last block
+            (ct, tag, flip(aad, 17)),
+            (ct, flip(tag, 15), aad),
+        ]:
+            with pytest.raises(IntegrityError):
+                cipher.decrypt(iv, bad_ct, bad_tag, bad_aad)
 
 
 class TestTamperDetection:

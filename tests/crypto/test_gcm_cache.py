@@ -10,7 +10,11 @@ cached path is measurably faster than fresh per-record construction.
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
+
+import pytest
 
 from repro.crypto import gcm
 from repro.crypto.gcm import AesGcm, open_, seal
@@ -38,6 +42,37 @@ def test_seal_open_reuse_one_cipher_per_key():
         assert open_(key, blob) == b"record-%d" % i
     # One table build for the whole 80-record run, not 80.
     assert gcm.table_builds - before == 1
+
+
+def test_instance_builds_lane_table_once_across_long_records():
+    cipher = AesGcm(b"\x12" * 16)
+    before = gcm.lane_table_builds
+    long_record = bytes(16 * gcm._LANE_MIN_BLOCKS)
+    for i in range(8):
+        ct, tag = cipher.encrypt(_iv(i), long_record + bytes(i), aad=long_record)
+        assert cipher.decrypt(_iv(i), ct, tag, aad=long_record) == long_record + bytes(i)
+    assert gcm.lane_table_builds - before == 1
+
+
+def test_records_below_lane_threshold_never_build_lane_table():
+    # Hit-path records are all far below the threshold; they must keep
+    # paying only the scalar table build per fresh key.
+    cipher = AesGcm(b"\x13" * 16)
+    before = gcm.lane_table_builds
+    short = bytes(16 * gcm._LANE_MIN_BLOCKS - 1)
+    for i in range(4):
+        ct, tag = cipher.encrypt(_iv(i), short, aad=short)
+        assert cipher.decrypt(_iv(i), ct, tag, aad=short) == short
+    assert gcm.lane_table_builds == before
+
+
+def test_fresh_key_short_seal_builds_one_scalar_table_and_no_lane_table():
+    key = b"\x14" * 16
+    gcm._CIPHER_CACHE.pop(key, None)
+    tables, lanes = gcm.table_builds, gcm.lane_table_builds
+    seal(key, _iv(0), b"r" * 512)
+    assert gcm.table_builds - tables == 1
+    assert gcm.lane_table_builds == lanes
 
 
 def test_cipher_cache_is_bounded():
@@ -102,3 +137,37 @@ def test_microbench_cached_setup_beats_per_record_setup():
     assert fresh > cached * 1.5, (
         f"expected cached GCM setup to win: fresh={fresh:.4f}s cached={cached:.4f}s"
     )
+
+
+@pytest.mark.thread_stress
+def test_cipher_cache_survives_concurrent_fresh_keys():
+    # Fresh keys from many threads force constant LRU eviction; the pop,
+    # evict and insert must not interleave (a shared victim made the
+    # second pop raise KeyError, and the dict outgrew its bound).
+    gcm._CIPHER_CACHE.clear()
+    threads_n, per_thread = 8, 100
+    errors = []
+    barrier = threading.Barrier(threads_n)
+
+    def work(t):
+        barrier.wait()
+        try:
+            for i in range(per_thread):
+                key = (t * per_thread + i).to_bytes(16, "big")
+                assert open_(key, seal(key, _iv(i), b"x")) == b"x"
+        except Exception as exc:  # recorded and asserted on below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(gcm._CIPHER_CACHE) <= gcm._CIPHER_CACHE_MAX
