@@ -96,6 +96,45 @@ PYTHONPATH=src python -m repro.bench adaptive --quick || status=1
 echo "== bench reshard smoke =="
 PYTHONPATH=src python -m repro.bench reshard --quick || status=1
 
+# Perfbench smoke: a short traced run per declared workload.  Each exits
+# non-zero if its output check or a traced-run integrity check fails;
+# the printed counter-reconciliation residuals must all be zero.
+perfbench_out=$(mktemp -d)
+for workload in hot-single churn-durable cluster-batch; do
+    echo "== perfbench smoke ($workload) =="
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+        --trace 1 > "$perfbench_out/$workload.txt" || status=1
+    sed -n '/^traced-run integrity/,/^output check/p' "$perfbench_out/$workload.txt"
+done
+echo "== perfbench counter reconciliation =="
+python3 - "$perfbench_out" <<'PY' || status=1
+import os
+import sys
+
+failed = False
+for workload in ("hot-single", "churn-durable", "cluster-batch"):
+    lines = open(os.path.join(sys.argv[1], f"{workload}.txt")).read().splitlines()
+    header = "counter reconciliation (residual; 0 means the identity holds)"
+    if header not in lines:
+        print(f"{workload}: no reconciliation rows printed")
+        failed = True
+        continue
+    rows = []
+    for line in lines[lines.index(header) + 1:]:
+        if not line.startswith(" "):
+            break
+        residual, label = line.split(None, 1)
+        rows.append((float(residual), label))
+    bad = [(r, label) for r, label in rows if r != 0]
+    if not rows or bad:
+        print(f"{workload}: counter identities broken: {bad or 'no rows'}")
+        failed = True
+    else:
+        print(f"{workload}: {len(rows)} counter identities hold")
+sys.exit(1 if failed else 0)
+PY
+rm -rf "$perfbench_out"
+
 if [ "$status" -ne 0 ]; then
     echo "CHECK FAILED" >&2
 fi

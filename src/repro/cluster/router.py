@@ -16,15 +16,15 @@ One core serves every request whose reply is waited on:
 * ``wait_gets`` / ``wait_puts`` settle a group into per-item answers.
 
 The other methods are compositions of it: ``call_batch`` submits and
-settles each GET group (a PUT batch is one group), ``submit``/``wait``
-of one request is a one-item group, and ``call`` of a PUT is the same.
-``call`` of a GET is the per-item step every GET path falls back to:
+settles each GET group (a PUT batch is one group), and ``call`` or
+``submit``/``wait`` of one request is a one-item group.  Per kind:
 
 * **GET** goes to the tag's owners in ring order.  A failed owner is
   skipped (failover); a live owner's *miss* falls through to the next
-  replica; the first hit wins.  Live owners that missed before the hit
-  receive an asynchronous **read-repair** PUT rebuilt from the hit, so
-  a shard that lost or never received an entry converges back.  The
+  replica; the first hit wins.  Items a group's primary did not serve
+  take this per-item step past it.  Live owners that missed before the
+  hit receive an asynchronous **read-repair** PUT rebuilt from the hit,
+  so a shard that lost or never received an entry converges back.  The
   repaired ciphertext is still the store-side ``(r, [k], [res])``
   triple — the router never sees plaintext, and a tampered replica is
   caught by the runtime's Fig. 3 MAC/tag verification exactly as a
@@ -328,17 +328,12 @@ class ClusterRouter:
         self._next_router_id += 1
         return router_id
 
-    # -- the per-item GET step -------------------------------------------------
     def call(self, request: Message) -> Message:
-        """Route one request and block on its answer.  A GET takes the
-        per-item failover step directly; a PUT is a one-item group and
-        raises :class:`~repro.errors.NoLiveOwnerError` when no owner
-        answered."""
-        if isinstance(request, GetRequest):
-            return self._route_get(request)
-        with self.tracer.span("router.put", clock=self.clock):
-            return self.wait(self.submit(request))
+        """Route one request and block on its answer: a one-item group,
+        submitted and settled (see :meth:`wait`)."""
+        return self.wait(self.submit(request))
 
+    # -- the per-item GET step -------------------------------------------------
     def _route_get(
         self,
         request: GetRequest,

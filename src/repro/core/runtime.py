@@ -1,34 +1,33 @@
 """The secure deduplication runtime (paper §IV-B, Algorithms 1 & 2).
 
 One :class:`DedupRuntime` instance is linked into one application
-enclave.  A deduplicated call runs as follows, mirroring the paper's
-control flow exactly:
+enclave.  Every deduplicated call — :meth:`DedupRuntime.execute` is a
+batch of one, :meth:`DedupRuntime.execute_many` a batch of N — runs one
+pipeline under **one** ECALL, mirroring the paper's per-item control
+flow:
 
-1. **ECALL** into the application enclave.
-2. Verify the app owns the marked function (trusted-library scan) and
-   derive the function identity; canonically serialize the input.
-3. ``t ← Hash(func, m)`` and **OCALL** a synchronous ``GET_REQUEST``.
-4. On a positive response, run the Fig. 3 verification protocol; a
-   verified result is decrypted, deserialized, and returned — the
+1. Verify the app owns the marked function (trusted-library scan) and
+   derive the function identity; per item, canonically serialize the
+   input and derive ``t ← Hash(func, m)``.  Tags this enclave already
+   verified or computed are served by the optional in-enclave **L1
+   cache** (:class:`L1ResultCache`), at the price of EPC pressure
+   charged through the paging model.
+2. **OCALL** one synchronous ``GET_REQUEST`` batch for the remaining
+   tags.  On a positive response, run the Fig. 3 verification protocol;
+   a verified result is decrypted, deserialized, and returned — the
    *subsequent computation* path (Algorithm 2).
-5. Otherwise execute the function inside the enclave, protect the result
+3. Otherwise execute the function inside the enclave, protect the result
    with the configured scheme, and issue a ``PUT_REQUEST`` — the
    *initial computation* path (Algorithm 1).  The PUT is asynchronous by
    default ("the remaining PUT operations can be processed in a
    separated thread", §V-B); ``flush_puts`` drains it off the critical
-   path.
+   path.  Synchronous PUTs ship as one batched OCALL.
 
-Two optimizations amortize the fixed per-call costs without touching the
-per-item semantics above:
-
-- :meth:`DedupRuntime.execute_many` runs a whole batch under **one**
-  ECALL, ships all duplicate checks as one batched OCALL/channel record,
-  and queues all PUTs together.  Each item still follows Algorithm 1 or
-  2 individually and gets its own :class:`CallRecord`.
-- An optional in-enclave **L1 cache** of verified results
-  (:class:`L1ResultCache`) short-circuits the store round-trip for tags
-  this enclave has already verified or computed, at the price of EPC
-  pressure charged through the paging model.
+A batch pays the fixed per-call costs (ECALL, OCALLs, channel records)
+once; every item still follows Algorithm 1 or 2 individually and gets
+its own :class:`CallRecord`.  With a :class:`~repro.engine.PipelineEngine`
+attached, the GET and synchronous-PUT round trips go through its
+pipelined fan-out instead of one ``call_batch``.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from ..errors import (
 )
 from ..net.messages import (
     BatchPutResponse,
-    ErrorMessage,
     GetRequest,
     GetResponse,
     Message,
@@ -80,15 +78,17 @@ class DedupResult:
 
     ``execute``/``execute_many`` return plain values; the ``*_result``
     variants return this wrapper so callers can see *how* each value was
-    obtained without digging through stats:
+    obtained without digging through stats.  A single call and an item
+    of a batch are reported the same way:
 
     * ``source`` — ``"l1"`` (served from the in-enclave cache),
       ``"store"`` (verified store hit, Algorithm 2), ``"computed"``
       (fresh execution, Algorithm 1) or ``"coalesced"`` (single-flight:
       an identical in-flight tag shared its leader's round trip and
       verification, and this follower observed the leader's result);
-    * ``span_id``/``trace_id`` — the call's root span when a tracer is
-      attached (``None`` under the default :data:`NULL_TRACER`).
+    * ``span_id``/``trace_id`` — the item's ``runtime.item`` span and
+      the call's trace when a tracer is attached (``None`` under the
+      default :data:`NULL_TRACER`).
     """
 
     value: Any
@@ -130,8 +130,8 @@ class RuntimeConfig:
     # Async PUT flusher bounds.  ``put_queue_entries`` caps the pending
     # queue: when an enqueue would leave it at the cap, the oldest batch
     # is drained first (back-pressure — the caller absorbs the send cost
-    # instead of the queue growing without bound).  0 keeps the legacy
-    # unbounded queue drained only by explicit ``flush_puts`` calls.
+    # instead of the queue growing without bound).  0 leaves the queue
+    # unbounded, drained only by explicit ``flush_puts`` calls.
     put_queue_entries: int = 0
     # PUTs shipped per background drain (one channel record each);
     # 0 drains the whole queue in a single batch.
@@ -157,6 +157,21 @@ class _BatchItem:
     # batched OCALLs, channel records) are split evenly afterwards.
     direct_wall: float = 0.0
     direct_sim: float = 0.0
+
+    @property
+    def source(self) -> str:
+        if self.coalesced:
+            return "coalesced"
+        if self.l1_hit:
+            return "l1"
+        return "store" if self.hit else "computed"
+
+    def join(self, leader: "_BatchItem") -> None:
+        """Single-flight: take ``leader``'s result as a coalesced hit."""
+        self.hit = self.coalesced = True
+        self.degraded = False
+        self.result_len = leader.result_len
+        self.result_value = leader.result_value
 
 
 class _SerialRegion:
@@ -206,9 +221,9 @@ class DedupRuntime:
             self.enclave.tracer = self.tracer
         self._pending_puts: list[PutRequest] = []
         # Optional pipelined execution engine (see repro.engine); when
-        # attached, stage-2 GETs and stage-4 PUTs of execute_many go
-        # through its concurrent submit/wait fan-out instead of the
-        # serial call_batch path.
+        # attached, stage-2 GETs and stage-4 PUTs go through its
+        # concurrent submit/wait fan-out instead of the serial
+        # call_batch path.
         self.engine = None
         self._closed = False
         # Correlation id -> number of PUT items awaiting a response.
@@ -230,7 +245,7 @@ class DedupRuntime:
     def attach_engine(self, engine) -> None:
         """Attach a :class:`~repro.engine.PipelineEngine`.
 
-        Once attached, :meth:`execute_many` fans its batched GETs and
+        Once attached, every call (single or batched) fans its GETs and
         synchronous PUTs out through the engine's pipelined
         ``submit()/wait()`` surface (with single-flight tag coalescing),
         and asynchronous PUT drains are accounted as the engine's
@@ -285,122 +300,16 @@ class DedupRuntime:
         native_factor: float = 1.0,
     ) -> DedupResult:
         """Like :meth:`execute`, but returns the full per-call
-        :class:`DedupResult` (value, hit/source, tag, span ids)."""
-        input_parser = input_parser or AnyParser(self.parsers)
-        result_parser = result_parser or AnyParser(self.parsers)
-        wall_start = time.perf_counter()
-        sim_start = self.clock.snapshot()
+        :class:`DedupResult` (value, hit/source, tag, span ids).
 
-        with self.tracer.span(
-            "runtime.execute", clock=self.clock, func=str(description)
-        ) as root:
-            with self.enclave.ecall("dedup_execute"):
-                func = self.libraries.lookup(description)
-                func_identity = self.libraries.function_identity(description)
-                with self.tracer.span("runtime.tag", clock=self.clock):
-                    input_bytes = input_parser.encode(input_value)
-                    tag = derive_tag(func_identity, input_bytes, self.clock)
-
-                result_value = None
-                hit = False
-                l1_hit = False
-                result_len = 0
-
-                attempt_dedup = self.config.dedup_enabled
-                adaptive = self.config.adaptive
-                if attempt_dedup and adaptive is not None:
-                    attempt_dedup = adaptive.should_attempt_dedup(func_identity)
-                compute_sim_seconds = 0.0
-
-                if attempt_dedup and self.l1_cache is not None:
-                    with self.tracer.span("runtime.l1_lookup", clock=self.clock) as l1s:
-                        cached = self.l1_cache.get(tag)
-                        l1s.set("hit", cached is not None)
-                    if cached is not None:
-                        hit = l1_hit = True
-                        result_len = len(cached)
-                        result_value = result_parser.decode(cached)
-
-                degraded = False
-                if attempt_dedup and not hit:
-                    try:
-                        response = self._get(tag, len(input_bytes))
-                    except _STORE_FAILURES:
-                        if not self.config.degrade_on_store_failure:
-                            raise
-                        degraded = True
-                        response = GetResponse(found=False)
-                    if (
-                        not response.found
-                        and response.reason == NoLiveOwnerError.code
-                        and self.config.degrade_on_store_failure
-                    ):
-                        # The router answered "unavailable, recompute":
-                        # same degradation, reported in-band.
-                        degraded = True
-                    if response.found:
-                        protected = ProtectedResult(
-                            challenge=response.challenge,
-                            wrapped_key=response.wrapped_key,
-                            sealed_result=response.sealed_result,
-                        )
-                        with self.tracer.span("runtime.verify", clock=self.clock) as vs:
-                            outcome = verify_and_recover(
-                                self.config.scheme, func_identity, input_bytes, tag,
-                                protected, self.clock,
-                            )
-                            vs.set("ok", outcome.ok)
-                        if outcome.ok:
-                            hit = True
-                            result_len = len(outcome.result_bytes)
-                            result_value = result_parser.decode(outcome.result_bytes)
-                            if self.l1_cache is not None:
-                                self.l1_cache.put(tag, outcome.result_bytes)
-                        else:
-                            self.stats.verification_failures += 1
-
-                if not hit:
-                    result_value, result_len, compute_sim_seconds = self._compute_and_put(
-                        func, description, func_identity, input_value, input_bytes,
-                        tag, result_parser, unpack_args, native_factor,
-                        store_result=attempt_dedup,
-                    )
-            source = "l1" if l1_hit else ("store" if hit else "computed")
-            root.set("source", source)
-            root_span_id = root.span_id
-            root_trace_id = self.tracer.current_trace_id
-
-        wall = time.perf_counter() - wall_start
-        sim = self.clock.since(sim_start) / self.clock.params.cpu_freq_hz
-        if adaptive is not None and self.config.dedup_enabled:
-            if hit:
-                adaptive.observe_hit(func_identity, sim)
-            elif attempt_dedup:
-                adaptive.observe_miss(func_identity, sim, compute_sim_seconds)
-            else:
-                adaptive.observe_plain_compute(func_identity, compute_sim_seconds)
-        self.stats.record_call(
-            CallRecord(
-                description=str(description),
-                hit=hit,
-                input_bytes=len(input_bytes),
-                result_bytes=result_len,
-                wall_seconds=wall,
-                sim_seconds=sim,
-                l1_hit=l1_hit,
-                degraded=degraded,
-            )
+        A single call is a batch of one: it runs the same pipeline as
+        :meth:`execute_many_results`, under a ``runtime.execute`` root
+        span, and is not counted in ``runtime.batches``."""
+        (result,) = self._run(
+            description, [input_value], input_parser, result_parser,
+            unpack_args, native_factor, span="runtime.execute",
         )
-        return DedupResult(
-            value=result_value,
-            hit=hit,
-            l1_hit=l1_hit,
-            tag=tag,
-            source=source,
-            span_id=root_span_id,
-            trace_id=root_trace_id,
-            degraded=degraded,
-        )
+        return result
 
     def execute_many(
         self,
@@ -413,13 +322,14 @@ class DedupRuntime:
     ) -> list[Any]:
         """Run a batch of deduplicated computations in one enclave entry.
 
-        Semantics per item are identical to :meth:`execute` — every input
-        follows Algorithm 1 or Algorithm 2 on its own and yields its own
-        :class:`CallRecord` — but the fixed costs are paid once per
-        batch: one ECALL, one batched GET OCALL under one channel record,
-        and (in synchronous-PUT mode) one batched PUT OCALL.  Costs that
-        cannot be attributed to a single item are split evenly across the
-        batch's records, so per-batch sums match the totals.
+        Every input follows Algorithm 1 or Algorithm 2 on its own and
+        yields its own :class:`CallRecord` — :meth:`execute` is exactly
+        this pipeline with a batch of one — but the fixed costs are paid
+        once per batch: one ECALL, one batched GET OCALL under one
+        channel record, and (in synchronous-PUT mode) one batched PUT
+        OCALL.  Costs that cannot be attributed to a single item are
+        split evenly across the batch's records, so per-batch sums match
+        the totals.
         """
         return [
             r.value
@@ -443,6 +353,26 @@ class DedupRuntime:
         inputs = list(inputs)
         if not inputs:
             return []
+        results = self._run(
+            description, inputs, input_parser, result_parser,
+            unpack_args, native_factor, span="runtime.execute_batch",
+        )
+        self.stats.batches += 1
+        return results
+
+    # -- the one Alg. 1/2 pipeline ----------------------------------------------
+    def _run(
+        self,
+        description: FunctionDescription,
+        inputs: list[Any],
+        input_parser: Parser | None,
+        result_parser: Parser | None,
+        unpack_args: bool,
+        native_factor: float,
+        span: str,
+    ) -> list[DedupResult]:
+        """Run ``inputs`` through Algorithms 1/2 under one ECALL, inside
+        a root span named ``span`` (its ECALL is named after it)."""
         input_parser = input_parser or AnyParser(self.parsers)
         result_parser = result_parser or AnyParser(self.parsers)
         n = len(inputs)
@@ -453,11 +383,12 @@ class DedupRuntime:
         sim_start = self.clock.snapshot()
 
         with self.tracer.span(
-            "runtime.execute_batch", clock=self.clock,
-            func=str(description), items=n,
+            span, clock=self.clock, func=str(description), items=n,
         ):
-            batch_trace_id = self.tracer.current_trace_id
-            with self.enclave.ecall("dedup_execute_batch"):
+            trace_id = self.tracer.current_trace_id
+            # runtime.execute -> dedup_execute, runtime.execute_batch ->
+            # dedup_execute_batch.
+            with self.enclave.ecall(span.replace("runtime.", "dedup_")):
                 func = self.libraries.lookup(description)
                 func_identity = self.libraries.function_identity(description)
 
@@ -475,12 +406,13 @@ class DedupRuntime:
                         with self.tracer.span(
                             "runtime.item", clock=self.clock, index=index
                         ) as item_span, self._item_meter(item), region.task():
-                            item.input_bytes = input_parser.encode(
-                                item.input_value
-                            )
-                            item.tag = derive_tag(
-                                func_identity, item.input_bytes, self.clock
-                            )
+                            with self.tracer.span("runtime.tag", clock=self.clock):
+                                item.input_bytes = input_parser.encode(
+                                    item.input_value
+                                )
+                                item.tag = derive_tag(
+                                    func_identity, item.input_bytes, self.clock
+                                )
                             attempt = self.config.dedup_enabled
                             if attempt and adaptive is not None:
                                 attempt = adaptive.should_attempt_dedup(
@@ -488,13 +420,7 @@ class DedupRuntime:
                                 )
                             item.attempt_dedup = attempt
                             if attempt and self.l1_cache is not None:
-                                cached = self.l1_cache.get(item.tag)
-                                if cached is not None:
-                                    item.hit = item.l1_hit = True
-                                    item.result_len = len(cached)
-                                    item.result_value = result_parser.decode(
-                                        cached
-                                    )
+                                self._serve_from_l1(item, result_parser)
                             item_span.set("l1_hit", item.l1_hit)
                             item_span_ids[index] = item_span.span_id
 
@@ -538,9 +464,10 @@ class DedupRuntime:
                             )
 
                 # Stage 3: compute the misses in input order (Algorithm 1).
-                # With the engine's single-flight mode on, later misses
-                # whose tag an earlier miss already computed this batch
-                # join that leader in-enclave: one compute, one PUT.
+                # A later miss whose tag an earlier miss already computed
+                # this batch joins that leader in-enclave (one compute, one
+                # PUT) under the engine's single-flight mode; otherwise it
+                # looks the leader's result up in the L1.
                 sync_puts: list[PutRequest] = []
                 coalesce = (
                     self.engine is not None and self.engine.config.coalesce
@@ -549,74 +476,49 @@ class DedupRuntime:
                 for item in items:
                     if item.hit:
                         continue
-                    if coalesce and item.attempt_dedup:
-                        leader = computed_by_tag.get(item.tag)
-                        if leader is not None:
-                            item.hit = True
-                            item.coalesced = True
-                            item.degraded = False
-                            item.result_len = leader.result_len
-                            item.result_value = leader.result_value
-                            continue
+                    leader = (
+                        computed_by_tag.get(item.tag) if item.attempt_dedup else None
+                    )
+                    if leader is not None and coalesce:
+                        item.join(leader)
+                        continue
                     with self._item_meter(item):
-                        self._compute_batch_item(
+                        if (
+                            leader is not None
+                            and self.l1_cache is not None
+                            and self._serve_from_l1(item, result_parser)
+                        ):
+                            continue
+                        self._compute_item(
                             item, func, func_identity, result_parser,
                             unpack_args, native_factor, sync_puts,
                         )
-                    if coalesce and item.attempt_dedup and not item.l1_hit:
-                        computed_by_tag[item.tag] = item
+                    if item.attempt_dedup:
+                        computed_by_tag.setdefault(item.tag, item)
 
                 # Stage 4: ship all synchronous PUTs as one record/OCALL.
                 if sync_puts:
                     payload = sum(len(p.sealed_result) + 128 for p in sync_puts)
-                    if self.engine is not None:
+                    try:
                         with self.enclave.ocall("batch_put_request", in_bytes=payload):
-                            put_batch = self.engine.run_puts(sync_puts)
-                        if not self.config.degrade_on_store_failure:
-                            for response in put_batch.responses:
-                                if isinstance(response, Exception):
-                                    raise response
-                        self.stats.puts_sent += len(sync_puts)
-                        for put, response in zip(sync_puts, put_batch.responses):
-                            if isinstance(response, Exception):
-                                self.stats.puts_failed += 1
-                            elif (
-                                isinstance(response, PutResponse)
-                                and response.accepted
-                            ):
-                                self.stats.puts_accepted += 1
-                                self.acked_put_tags.add(put.tag)
+                            if self.engine is not None:
+                                verdicts = self.engine.run_puts(sync_puts).responses
                             else:
-                                self.stats.puts_rejected += 1
-                    else:
-                        try:
-                            with self.enclave.ocall(
-                                "batch_put_request", in_bytes=payload
-                            ):
-                                responses = self.client.call_batch(sync_puts)
-                        except _STORE_FAILURES:
-                            if not self.config.degrade_on_store_failure:
-                                raise
-                            self.stats.puts_sent += len(sync_puts)
-                            self.stats.puts_failed += len(sync_puts)
-                        else:
-                            self.stats.puts_sent += len(sync_puts)
-                            for put, response in zip(sync_puts, responses):
-                                if (
-                                    isinstance(response, PutResponse)
-                                    and response.accepted
-                                ):
-                                    self.stats.puts_accepted += 1
-                                    self.acked_put_tags.add(put.tag)
-                                else:
-                                    self.stats.puts_rejected += 1
+                                verdicts = self.client.call_batch(sync_puts)
+                    except _STORE_FAILURES as exc:
+                        verdicts = [exc] * len(sync_puts)
+                    if not self.config.degrade_on_store_failure:
+                        for verdict in verdicts:
+                            if isinstance(verdict, Exception):
+                                raise verdict
+                    self.stats.puts_sent += len(sync_puts)
+                    self._count_put_verdicts([p.tag for p in sync_puts], verdicts)
 
         total_wall = time.perf_counter() - wall_start
         total_sim = self.clock.since(sim_start) / self.clock.params.cpu_freq_hz
         shared_wall = max(0.0, total_wall - sum(i.direct_wall for i in items)) / n
         shared_sim = max(0.0, total_sim - sum(i.direct_sim for i in items)) / n
 
-        self.stats.batches += 1
         results: list[DedupResult] = []
         for index, item in enumerate(items):
             sim = item.direct_sim + shared_sim
@@ -628,6 +530,7 @@ class DedupRuntime:
                     adaptive.observe_miss(func_identity, sim, item.compute_sim)
                 else:
                     adaptive.observe_plain_compute(func_identity, item.compute_sim)
+            degraded = item.degraded and not item.hit
             self.stats.record_call(
                 CallRecord(
                     description=str(description),
@@ -638,7 +541,7 @@ class DedupRuntime:
                     sim_seconds=sim,
                     l1_hit=item.l1_hit,
                     batch_size=n,
-                    degraded=item.degraded and not item.hit,
+                    degraded=degraded,
                     coalesced=item.coalesced,
                 )
             )
@@ -648,19 +551,15 @@ class DedupRuntime:
                     hit=item.hit,
                     l1_hit=item.l1_hit,
                     tag=item.tag,
-                    source="coalesced" if item.coalesced else (
-                        "l1" if item.l1_hit else (
-                            "store" if item.hit else "computed"
-                        )
-                    ),
+                    source=item.source,
                     span_id=item_span_ids[index],
-                    trace_id=batch_trace_id,
-                    degraded=item.degraded and not item.hit,
+                    trace_id=trace_id,
+                    degraded=degraded,
                 )
             )
         return results
 
-    # -- batch helpers --------------------------------------------------------
+    # -- pipeline helpers -------------------------------------------------------
     @contextmanager
     def _item_meter(self, item: _BatchItem) -> Iterator[None]:
         """Accumulate one item's directly-attributable wall/sim costs."""
@@ -672,6 +571,16 @@ class DedupRuntime:
             item.direct_wall += time.perf_counter() - wall0
             item.direct_sim += self.clock.since(sim0) / self.clock.params.cpu_freq_hz
 
+    def _serve_from_l1(self, item: _BatchItem, result_parser: Parser) -> bool:
+        """Serve ``item`` from the in-enclave L1 cache; False on a miss."""
+        cached = self.l1_cache.get(item.tag)
+        if cached is None:
+            return False
+        item.hit = item.l1_hit = True
+        item.result_len = len(cached)
+        item.result_value = result_parser.decode(cached)
+        return True
+
     def _absorb_get_response(
         self,
         index: int,
@@ -680,7 +589,7 @@ class DedupRuntime:
         func_identity: bytes,
         result_parser: Parser,
     ) -> None:
-        """Fold one store GET response into its batch item (type check,
+        """Fold one store GET response into its item (type check,
         miss/degrade handling, Fig. 3 verification on a hit)."""
         if not isinstance(response, GetResponse):
             raise DedupError(
@@ -696,7 +605,7 @@ class DedupRuntime:
         with self.tracer.span(
             "runtime.verify", clock=self.clock, index=index
         ) as vs, self._item_meter(item):
-            self._verify_batch_hit(item, response, func_identity, result_parser)
+            self._verify_hit(item, response, func_identity, result_parser)
             vs.set("ok", item.hit)
 
     def _absorb_engine_gets(
@@ -738,22 +647,20 @@ class DedupRuntime:
             _, item = lookups[pos]
             _, leader = lookups[leader_pos]
             if leader.hit:
-                item.hit = True
-                item.coalesced = True
-                item.result_len = leader.result_len
-                item.result_value = leader.result_value
+                item.join(leader)
             elif leader.degraded:
                 item.degraded = True
             # Leader miss (or failed verification): the follower falls
             # through to stage 3, where compute coalescing pairs them.
 
-    def _verify_batch_hit(
+    def _verify_hit(
         self,
         item: _BatchItem,
         response: GetResponse,
         func_identity: bytes,
         result_parser: Parser,
     ) -> None:
+        """Fig. 3 verification of a store hit (Algorithm 2)."""
         protected = ProtectedResult(
             challenge=response.challenge,
             wrapped_key=response.wrapped_key,
@@ -772,7 +679,7 @@ class DedupRuntime:
         else:
             self.stats.verification_failures += 1
 
-    def _compute_batch_item(
+    def _compute_item(
         self,
         item: _BatchItem,
         func: Callable,
@@ -782,119 +689,63 @@ class DedupRuntime:
         native_factor: float,
         sync_puts: list[PutRequest],
     ) -> None:
-        if item.attempt_dedup and self.l1_cache is not None:
-            # An earlier miss in this very batch may have computed the
-            # same tag already — mirror the sequential-with-cache order.
-            cached = self.l1_cache.get(item.tag)
-            if cached is not None:
-                item.hit = item.l1_hit = True
-                item.result_len = len(cached)
-                item.result_value = result_parser.decode(cached)
-                return
-        item.result_value, item.compute_sim = self._compute_raw(
-            func, item.input_value, unpack_args, native_factor
-        )
-        result_bytes = result_parser.encode(item.result_value)
-        item.result_len = len(result_bytes)
-        if not (self.config.dedup_enabled and item.attempt_dedup):
-            return
-        if self.l1_cache is not None:
-            self.l1_cache.put(item.tag, result_bytes)
-        put = self._protect_put(func_identity, item.input_bytes, item.tag, result_bytes)
-        if self.config.async_put:
-            self._enqueue_put(put)
-        else:
-            sync_puts.append(put)
-
-    # -- GET (Algorithm 2, lines 2-3) ----------------------------------------
-    def _get(self, tag: bytes, input_len: int) -> GetResponse:
-        request = GetRequest(tag=tag, app_id=self.config.app_id)
-        with self.enclave.ocall("get_request", in_bytes=len(tag) + 64):
-            response = self.client.call(request)
-        if not isinstance(response, GetResponse):
-            raise DedupError(f"store answered GET with {type(response).__name__}")
-        return response
-
-    # -- fresh computation + PUT (Algorithm 1, lines 4-10) --------------------
-    def _compute_raw(
-        self,
-        func: Callable,
-        input_value: Any,
-        unpack_args: bool,
-        native_factor: float,
-    ) -> tuple[Any, float]:
+        """Execute a miss and protect its result (Algorithm 1, lines
+        4-10): the PUT is queued, or added to ``sync_puts`` for stage 4."""
         with self.tracer.span("runtime.compute", clock=self.clock):
             compute_start = time.perf_counter()
             if unpack_args:
-                result_value = func(*input_value)
+                item.result_value = func(*item.input_value)
             else:
-                result_value = func(input_value)
+                item.result_value = func(item.input_value)
             compute_wall = time.perf_counter() - compute_start
             self.clock.charge_compute(compute_wall, native_factor)
-        return result_value, compute_wall / native_factor
-
-    def _protect_put(
-        self,
-        func_identity: bytes,
-        input_bytes: bytes,
-        tag: bytes,
-        result_bytes: bytes,
-    ) -> PutRequest:
+        item.compute_sim = compute_wall / native_factor
+        result_bytes = result_parser.encode(item.result_value)
+        item.result_len = len(result_bytes)
+        if not item.attempt_dedup:
+            return
+        if self.l1_cache is not None:
+            self.l1_cache.put(item.tag, result_bytes)
         protected = self.config.scheme.protect(
-            func_identity, input_bytes, tag, result_bytes,
+            func_identity, item.input_bytes, item.tag, result_bytes,
             rand=self.enclave.read_rand, clock=self.clock,
         )
-        return PutRequest(
-            tag=tag,
+        put = PutRequest(
+            tag=item.tag,
             challenge=protected.challenge,
             wrapped_key=protected.wrapped_key,
             sealed_result=protected.sealed_result,
             app_id=self.config.app_id,
         )
-
-    def _compute_and_put(
-        self,
-        func: Callable,
-        description: FunctionDescription,
-        func_identity: bytes,
-        input_value: Any,
-        input_bytes: bytes,
-        tag: bytes,
-        result_parser: Parser,
-        unpack_args: bool,
-        native_factor: float,
-        store_result: bool = True,
-    ) -> tuple[Any, int, float]:
-        result_value, compute_sim = self._compute_raw(
-            func, input_value, unpack_args, native_factor
-        )
-        result_bytes = result_parser.encode(result_value)
-        if self.config.dedup_enabled and store_result:
-            if self.l1_cache is not None:
-                self.l1_cache.put(tag, result_bytes)
-            put = self._protect_put(func_identity, input_bytes, tag, result_bytes)
-            if self.config.async_put:
-                self._enqueue_put(put)
-            else:
-                self._send_put_sync(put)
-        return result_value, len(result_bytes), compute_sim
-
-    def _send_put_sync(self, put: PutRequest) -> None:
-        try:
-            with self.enclave.ocall("put_request", in_bytes=len(put.sealed_result) + 128):
-                response = self.client.call(put)
-        except _STORE_FAILURES:
-            if not self.config.degrade_on_store_failure:
-                raise
-            self.stats.puts_sent += 1
-            self.stats.puts_failed += 1
-            return
-        self.stats.puts_sent += 1
-        if isinstance(response, PutResponse) and response.accepted:
-            self.stats.puts_accepted += 1
-            self.acked_put_tags.add(put.tag)
+        if self.config.async_put:
+            self._enqueue_put(put)
         else:
-            self.stats.puts_rejected += 1
+            sync_puts.append(put)
+
+    # -- PUT verdicts ----------------------------------------------------------
+    def _count_put_verdicts(self, tags: Sequence[bytes], verdicts: Sequence) -> None:
+        """The one PUT verdict rule, for synchronous PUTs and drained
+        one-way acks alike (see :class:`RuntimeStats`).
+
+        An accepted :class:`PutResponse` counts in ``puts_accepted`` and
+        adds its tag to :attr:`acked_put_tags`; any other ``PutResponse``
+        is a store's "no" (``puts_rejected``) unless its reason is ``no
+        live owner``; that, an error reply and a raised exception mean
+        no store answered (``puts_failed``).  ``tags`` is positional and
+        may be shorter than ``verdicts``.
+        """
+        for index, verdict in enumerate(verdicts):
+            if isinstance(verdict, PutResponse) and verdict.accepted:
+                self.stats.puts_accepted += 1
+                if index < len(tags):
+                    self.acked_put_tags.add(tags[index])
+            elif (
+                isinstance(verdict, PutResponse)
+                and verdict.reason != NoLiveOwnerError.code
+            ):
+                self.stats.puts_rejected += 1
+            else:
+                self.stats.puts_failed += 1
 
     # -- asynchronous PUT draining ---------------------------------------------
     def _enqueue_put(self, put: PutRequest) -> None:
@@ -973,6 +824,7 @@ class DedupRuntime:
         return flushed
 
     def _account_put_responses(self, responses: Sequence[Message]) -> None:
+        """Attribute drained one-way acks to the PUT batches we sent."""
         for response in responses:
             count = self._inflight_puts.pop(response.request_id, None)
             if count is None:
@@ -981,25 +833,14 @@ class DedupRuntime:
                 # in puts_unacknowledged rather than being guessed at.
                 continue
             tags = self._inflight_put_tags.pop(response.request_id, ())
-            if isinstance(response, PutResponse):
-                if response.accepted:
-                    self.stats.puts_accepted += 1
-                    if tags:
-                        self.acked_put_tags.add(tags[0])
-                else:
-                    self.stats.puts_rejected += 1
-            elif isinstance(response, BatchPutResponse):
-                for index, item in enumerate(response.items):
-                    if item.accepted:
-                        self.stats.puts_accepted += 1
-                        if index < len(tags):
-                            self.acked_put_tags.add(tags[index])
-                    else:
-                        self.stats.puts_rejected += 1
-            elif isinstance(response, ErrorMessage):
-                self.stats.puts_failed += count
+            if isinstance(response, BatchPutResponse):
+                verdicts: Sequence = response.items
+            elif isinstance(response, PutResponse):
+                verdicts = (response,)
             else:
-                self.stats.puts_failed += count
+                # An error reply answers the whole batch: none stored.
+                verdicts = (response,) * count
+            self._count_put_verdicts(tags, verdicts)
 
     @property
     def pending_put_count(self) -> int:

@@ -48,13 +48,17 @@ class CallRecord:
 class RuntimeStats:
     """Counters for one DedupRuntime instance.
 
-    PUT accounting is explicit: every flushed PUT ends up in exactly one
-    of ``puts_accepted`` (store said yes), ``puts_rejected`` (store said
-    no — duplicate-rejection, quota, malformed), or ``puts_failed`` (the
-    reply was an error message, e.g. the record was corrupted in
-    transit).  PUTs whose response never arrived are *not* silently
-    counted anywhere — they remain visible as
-    :attr:`DedupRuntime.puts_unacknowledged`.
+    PUT accounting is explicit, and one rule serves synchronous PUTs and
+    flushed asynchronous ones alike: every sent PUT ends up in exactly
+    one of ``puts_accepted`` (store said yes), ``puts_rejected`` (store
+    said no — duplicate-rejection, quota, malformed), or ``puts_failed``
+    (no store answered: the reply was an error message, e.g. the record
+    was corrupted in transit; the send raised a transport error; or a
+    cluster router reported ``no live owner``).  An in-band verdict
+    never raises; only a raised transport error obeys
+    ``RuntimeConfig.degrade_on_store_failure``.  PUTs whose response
+    never arrived are *not* silently counted anywhere — they remain
+    visible as :attr:`DedupRuntime.puts_unacknowledged`.
     """
 
     calls: int = 0

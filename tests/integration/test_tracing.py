@@ -53,15 +53,15 @@ def test_single_execute_produces_connected_tree_over_all_layers(cluster_session)
     names = {s.name for s in spans}
     for expected in ("runtime.execute", "runtime.tag", "runtime.verify",
                      "sgx.ecall", "sgx.ocall", "channel.encrypt",
-                     "channel.decrypt", "rpc.call", "router.get",
-                     "router.shard_get", "store.get", "store.lookup",
-                     "store.blob_read"):
+                     "channel.decrypt", "rpc.submit", "rpc.wait",
+                     "router.batch_get", "router.shard_get", "store.get",
+                     "store.lookup", "store.blob_read"):
         assert expected in names, f"missing {expected} in {sorted(names)}"
 
     # And the nesting is the paper's call path: runtime -> router ->
     # rpc -> store, all under the root ECALL.
-    assert root.find("router.get"), "router span must descend from the root"
-    router_get = root.find("router.get")[0]
+    assert root.find("router.batch_get"), "router span must descend from the root"
+    router_get = root.find("router.batch_get")[0]
     assert router_get.find("store.get"), "store span must descend from routing"
 
 
@@ -82,8 +82,8 @@ def test_failover_and_read_repair_show_up_in_span_trees(cluster_session):
     tree = session.tracer.tree(failovers[0].trace_id)
     assert len(tree) == 1 and tree[0].span.name == "runtime.execute"
     assert tree[0].find("router.failover")
-    # The failed shard_get and the replica retry share the same parent GET.
-    shard_gets = tree[0].find("router.get")[0].find("router.shard_get")
+    # The failed shard_get and the replica retry share the same routing span.
+    shard_gets = tree[0].find("router.batch_get")[0].find("router.shard_get")
     assert len(shard_gets) >= 2
 
     # Fresh work while the shard is down lands only on the survivors, so
